@@ -21,8 +21,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from . import fieldio
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError, ThinningError
-from .harness import (ExperimentConfig, cross_section_dump, default_config,
-                      estimate_field, load_config, run_monte_carlo)
+from .harness import (ExperimentConfig, cross_section_dump, csv_text,
+                      default_config, estimate_field, load_config,
+                      run_monte_carlo)
 from .increments import (asymptotic_mean, expected_squared_increment_oracle)
 from .simulate import simulate_field
 
@@ -34,7 +35,7 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--replications", type=int, help="override the "
                    "replication count")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for Monte Carlo (default 1)")
+                   help="worker processes for Monte Carlo (default 1)")
     p.add_argument("--out-dir", default=".", help="output directory")
 
 
@@ -128,17 +129,14 @@ def _cmd_oracle(args) -> int:
         idx = [int(tok) for tok in args.i.split(",")]
     else:
         idx = list(range(1, n_steps + 1))
-    lines = ["i,expected_squared_increment"]
-    for i in idx:
-        val = expected_squared_increment_oracle(
-            config.params, config.kind, i, n_steps, args.y, args.z,
-            config.trunc)
-        lines.append(f"{i},{val!r}")
-    limit = asymptotic_mean(config.params, config.kind, args.y, args.z)
-    lines.append(f"asymptotic_mean,{limit!r}")
+    rows = [(i, expected_squared_increment_oracle(
+                config.params, config.kind, i, n_steps, args.y, args.z,
+                config.trunc)) for i in idx]
+    rows.append(("asymptotic_mean",
+                 asymptotic_mean(config.params, config.kind, args.y, args.z)))
     path = _outpath(args, "oracle.csv")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text(("i", "expected_squared_increment"), rows))
     print(f"wrote {path}")
     return 0
 

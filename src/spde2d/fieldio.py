@@ -1,4 +1,4 @@
-"""Binary field dumps and CSV slice export.
+"""Binary field dumps.
 
 Layout of a field dump (all integers little-endian):
 
@@ -62,17 +62,3 @@ def read_field(path: str) -> FieldSample:
         with open(_meta_path(path)) as fh:
             provenance = json.load(fh)
     return FieldSample(values=values, grid=grid, provenance=provenance)
-
-
-def time_slice_csv(field: FieldSample, time_index: int) -> str:
-    """CSV of one time slice, columns y, z, value."""
-    if not (0 <= time_index <= field.grid.N):
-        raise ConfigError(f"time index {time_index} outside 0..{field.grid.N}")
-    ys = field.grid.ys()
-    zs = field.grid.zs()
-    lines = ["y,z,value"]
-    sl = field.values[time_index]
-    for j1 in range(field.grid.M1 + 1):
-        for j2 in range(field.grid.M2 + 1):
-            lines.append(f"{ys[j1]!r},{zs[j2]!r},{sl[j1, j2]!r}")
-    return "\n".join(lines) + "\n"

@@ -66,26 +66,15 @@ class ExperimentConfig:
             raise ConfigError("Q2 noise requires params.mu0")
 
     def to_dict(self) -> dict:
+        contrast = {k: list(v) if isinstance(v, tuple) else v
+                    for k, v in asdict(self.contrast).items()}
         return {
-            "params": {
-                "theta0": self.params.theta0, "theta1": self.params.theta1,
-                "eta1": self.params.eta1, "theta2": self.params.theta2,
-                "sigma": self.params.sigma, "alpha": self.params.alpha,
-                "mu0": self.params.mu0,
-            },
+            "params": asdict(self.params),
             "kind": self.kind.value,
-            "grid": {"N": self.grid.N, "M1": self.grid.M1, "M2": self.grid.M2},
-            "truncation": {"K": self.trunc.K, "L": self.trunc.L},
+            "grid": asdict(self.grid),
+            "truncation": asdict(self.trunc),
             "thinning": asdict(self.thinning),
-            "contrast": {
-                "scale_box": list(self.contrast.scale_box),
-                "kappa_box": list(self.contrast.kappa_box),
-                "eta_box": list(self.contrast.eta_box),
-                "init_grid": self.contrast.init_grid,
-                "max_iter": self.contrast.max_iter,
-                "grad_tol": self.contrast.grad_tol,
-                "step_tol": self.contrast.step_tol,
-            },
+            "contrast": contrast,
             "replications": self.replications,
             "seed": self.seed.master,
             "exponents": asdict(self.exponents),
@@ -93,56 +82,61 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Build a configuration from ``d``, taking every missing key from
+        ``default_config()``; unknown keys raise ``ConfigError``."""
         try:
-            p = dict(d.get("params", {}))
-            params = ModelParams(
-                theta0=float(p.get("theta0", 0.0)),
-                theta1=float(p.get("theta1", 0.2)),
-                eta1=float(p.get("eta1", 0.2)),
-                theta2=float(p.get("theta2", 0.2)),
-                sigma=float(p.get("sigma", 1.0)),
-                alpha=float(p.get("alpha", 0.5)),
-                mu0=None if p.get("mu0") is None else float(p["mu0"]),
-            )
-            kind = NoiseKind(d.get("kind", "q1"))
-            g = dict(d.get("grid", {}))
-            grid = SpaceTimeGrid(N=int(g.get("N", 1000)),
-                                 M1=int(g.get("M1", 50)),
-                                 M2=int(g.get("M2", 50)))
-            t = dict(d.get("truncation", {}))
-            trunc = TruncationSpec(K=int(t.get("K", 256)), L=int(t.get("L", 256)))
-            th = dict(d.get("thinning", {}))
-            thinning = ThinningConfig(
-                mbar1=int(th.get("mbar1", 6)), mbar2=int(th.get("mbar2", 6)),
-                delta=float(th.get("delta", 0.05)), n=int(th.get("n", 100)))
-            cc = dict(d.get("contrast", {}))
-            contrast = ContrastConfig(
-                scale_box=tuple(cc.get("scale_box", (1e-3, 1e3))),
-                kappa_box=tuple(cc.get("kappa_box", (-20.0, 20.0))),
-                eta_box=tuple(cc.get("eta_box", (-20.0, 20.0))),
-                init_grid=int(cc.get("init_grid", 5)),
-                max_iter=int(cc.get("max_iter", 200)),
-                grad_tol=float(cc.get("grad_tol", 1e-10)),
-                step_tol=float(cc.get("step_tol", 1e-12)))
-            ex = dict(d.get("exponents", {}))
-            exponents = Exponents(rho=float(ex.get("rho", 0.47)),
-                                  gamma=float(ex.get("gamma", 0.26)),
-                                  epsilon=float(ex.get("epsilon", 0.499)))
-            return cls(params=params, kind=kind, grid=grid, trunc=trunc,
-                       thinning=thinning, contrast=contrast,
-                       replications=int(d.get("replications", 25)),
-                       seed=RngSeed(int(d.get("seed", 1))),
-                       exponents=exponents)
+            c = _merge(default_config().to_dict(), d, "")
+            return cls(params=ModelParams(**c["params"]),
+                       kind=NoiseKind(c["kind"]),
+                       grid=SpaceTimeGrid(**c["grid"]),
+                       trunc=TruncationSpec(**c["truncation"]),
+                       thinning=ThinningConfig(**c["thinning"]),
+                       contrast=ContrastConfig(**c["contrast"]),
+                       replications=c["replications"],
+                       seed=RngSeed(c["seed"]),
+                       exponents=Exponents(**c["exponents"]))
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid experiment configuration: {exc}") from exc
 
 
+def _merge(default, value, where: str):
+    """``value`` over ``default``, coerced to the type of the default: a
+    list default gives a tuple, a null default a float or null."""
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            what = f"section {where[:-1]!r}" if where else "file"
+            raise ConfigError(f"configuration {what} must be an object, "
+                              f"got {value!r}")
+        for key in value:
+            if key not in default:
+                raise ConfigError(
+                    f"unknown configuration key {where + key!r}")
+        return {key: _merge(dv, value.get(key, dv), f"{where}{key}.")
+                for key, dv in default.items()}
+    if default is None:
+        return None if value is None else float(value)
+    if isinstance(default, list):
+        return tuple(value)
+    if isinstance(default, str):
+        return value
+    return type(default)(value)
+
+
 def default_config() -> ExperimentConfig:
     """Desk-scale default: N=1000, M1=M2=50, K=L=256, five interior points
-    per axis, coarse time count 100, 25 replications."""
-    return ExperimentConfig.from_dict({})
+    per axis, coarse time count 100, 25 replications.
+
+    The one home of the configuration defaults, together with the defaults
+    of ``ThinningConfig``, ``ContrastConfig`` and ``Exponents``.
+    """
+    return ExperimentConfig(
+        params=ModelParams(theta0=0.0, theta1=0.2, eta1=0.2, theta2=0.2,
+                           sigma=1.0, alpha=0.5, mu0=None),
+        kind=NoiseKind.Q1, grid=SpaceTimeGrid(N=1000, M1=50, M2=50),
+        trunc=TruncationSpec(K=256, L=256), thinning=ThinningConfig(),
+        contrast=ContrastConfig(), replications=25, seed=RngSeed(1))
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -283,6 +277,20 @@ def diagnostics(config: ExperimentConfig) -> dict[str, float]:
     }
 
 
+def csv_text(columns, rows) -> str:
+    """CSV with a header line: floats written by ``repr`` (round-trip
+    exact), ``None`` as an empty cell, anything else by ``str``."""
+
+    def cell(v) -> str:
+        if v is None:
+            return ""
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    lines = [",".join(columns)]
+    lines += [",".join(cell(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 @dataclass(frozen=True)
 class SummaryTable:
     """Per-parameter means and standard deviations over the non-failing
@@ -296,13 +304,9 @@ class SummaryTable:
     config: dict = field(default_factory=dict)
 
     def to_csv(self) -> str:
-        lines = ["parameter,true,mean,sd,fail_count"]
-        for row in self.rows:
-            mean = "" if row["mean"] is None else repr(row["mean"])
-            sd = "" if row["sd"] is None else repr(row["sd"])
-            lines.append(f"{row['parameter']},{row['true']!r},"
-                         f"{mean},{sd},{row['fail_count']}")
-        return "\n".join(lines) + "\n"
+        columns = ("parameter", "true", "mean", "sd", "fail_count")
+        return csv_text(columns, ([row[c] for c in columns]
+                                  for row in self.rows))
 
     def to_json(self) -> str:
         payload = {
@@ -381,10 +385,8 @@ class CrossSection:
                 yield (float(a), float(b)), float(self.values[i, j])
 
     def to_csv(self) -> str:
-        lines = [f"{self.names[0]},{self.names[1]},value"]
-        for (a, b), v in self.rows():
-            lines.append(f"{a!r},{b!r},{v!r}")
-        return "\n".join(lines) + "\n"
+        return csv_text((*self.names, "value"),
+                        ((a, b, v) for (a, b), v in self.rows()))
 
 
 def _grid_index(coords: np.ndarray, level: float, what: str) -> int:

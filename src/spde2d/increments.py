@@ -20,8 +20,9 @@ import numpy as np
 from . import kernels
 from .errors import ConfigError, GridMismatchError, ThinningError
 from .model import (DerivedRatios, ModelParams, NoiseKind,
-                    contrast_coefficient, sinpi)
-from .simulate import FieldSample, TruncationSpec, _mode_tables
+                    contrast_coefficient)
+from .simulate import (FieldSample, TruncationSpec, _factor_table, _modes,
+                       _mode_tables)
 
 
 @dataclass(frozen=True)
@@ -125,20 +126,13 @@ def _oracle_tables(params: ModelParams, kind: NoiseKind,
                    trunc: TruncationSpec, y: float, z: float):
     """Per-mode denominators and squared eigenfunctions for the exact
     mean of one squared increment (zero initial state)."""
-    lam, _ = _mode_tables(params, kind, trunc)
-    if kind.is_q2:
-        k = np.arange(1, trunc.K + 1, dtype=np.float64)
-        l = np.arange(1, trunc.L + 1, dtype=np.float64)
-        mu = np.pi ** 2 * (k[:, None] ** 2 + l[None, :] ** 2) + params.require_mu0()
-        denom = lam * mu ** params.alpha
-    else:
-        denom = lam ** (1.0 + params.alpha)
-    k = np.arange(1, trunc.K + 1, dtype=np.float64)
-    l = np.arange(1, trunc.L + 1, dtype=np.float64)
-    ek = 2.0 * sinpi(k * y) ** 2 * math.exp(-params.kappa * y)
-    el = 2.0 * sinpi(l * z) ** 2 * math.exp(-params.eta * z)
-    e2 = ek[:, None] * el[None, :]
-    return lam, denom, e2
+    lam, damp_base = _mode_tables(params, kind, trunc)
+    denom = lam * damp_base ** params.alpha
+    # Unit amplitude: the factor 2 * 2 is applied exactly after squaring,
+    # instead of through the rounded sqrt(2)^2.
+    ey = _factor_table(_modes(trunc.K), y, params.kappa, amp=1.0)
+    ez = _factor_table(_modes(trunc.L), z, params.eta, amp=1.0)
+    return lam, denom, 4.0 * (ey ** 2)[:, None] * (ez ** 2)[None, :]
 
 
 def expected_squared_increment_oracle(params: ModelParams, kind: NoiseKind,
@@ -149,7 +143,7 @@ def expected_squared_increment_oracle(params: ModelParams, kind: NoiseKind,
 
     Per mode the contribution is ``sigma^2 (1 - e^{-lam dt}) / denom * (1 -
     (1 - e^{-lam dt})/2 * e^{-2 lam (i-1) dt})`` with ``denom =
-    lam^(1+alpha)`` for Q1 and ``lam * mu^alpha`` for Q2.
+    lam * d^alpha`` and damping base ``d = lam`` for Q1, ``d = mu`` for Q2.
     """
     if not (1 <= i <= N):
         raise ConfigError(f"increment index must satisfy 1 <= i <= N, got {i}")
@@ -182,15 +176,3 @@ def asymptotic_mean(params: ModelParams, kind: NoiseKind,
     scale = ratios.S if kind.is_q2 else ratios.s
     return (contrast_coefficient(params.alpha) * scale
             * math.exp(-ratios.kappa * y - ratios.eta * z))
-
-
-def zn_csv(zfield: SquaredIncrementField) -> str:
-    """CSV of the statistic: header row of z points, first column y points."""
-    thin = zfield.thinning
-    header = "y\\z," + ",".join(repr(float(v)) for v in thin.points_z)
-    lines = [header]
-    for j1 in range(thin.m1):
-        row = [repr(float(thin.points_y[j1]))]
-        row += [repr(float(v)) for v in zfield.values[j1]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .model import Mode, sinpi
-from .simulate import FieldSample
+from .model import Mode
+from .simulate import FieldSample, _factor_table
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,8 @@ def approx_coordinate(field: FieldSample, mode: Mode, kappa_hat: float,
     k, l = mode
     ys = field.grid.ys()[1:]
     zs = field.grid.zs()[1:]
-    wy = sinpi(k * ys) * np.exp(0.5 * kappa_hat * ys)
-    wz = sinpi(l * zs) * np.exp(0.5 * eta_hat * zs)
+    wy = _factor_table(k, ys, -kappa_hat, amp=1.0)
+    wz = _factor_table(l, zs, -eta_hat, amp=1.0)
     sub = field.values[tt.indices][:, 1:, 1:]
     m_total = field.grid.M1 * field.grid.M2
     vals = (2.0 / m_total) * np.einsum("tij,i,j->t", sub, wy, wz)
@@ -93,11 +93,3 @@ def realized_qv(path: ApproxCoordinatePath) -> VolatilityEstimate:
     d = np.diff(path.values)
     return VolatilityEstimate(mode=path.mode, value=float(np.dot(d, d)),
                               n_used=int(d.shape[0]))
-
-
-def path_csv(path: ApproxCoordinatePath) -> str:
-    """Two-column CSV (time, value) of a reconstructed path."""
-    lines = ["t,value"]
-    for t, v in zip(path.times, path.values):
-        lines.append(f"{float(t)!r},{float(v)!r}")
-    return "\n".join(lines) + "\n"

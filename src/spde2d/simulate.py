@@ -132,22 +132,30 @@ def ou_transition(x_prev, lam, gamma, dt, noise):
 
     Returns ``exp(-lam dt) x_prev + gamma sqrt((1 - exp(-2 lam dt)) / (2 lam))
     * noise``, the conditional law of the process with mean-reversion rate
-    ``lam`` and noise amplitude ``gamma`` over a step of length ``dt``.
+    ``lam`` and noise amplitude ``gamma`` over a step of length ``dt``, with
+    the coefficients the simulator uses.
     """
     if not np.all(np.asarray(lam) > 0):
         raise ConfigError("lam must be positive")
     if not dt > 0:
         raise ConfigError("dt must be positive")
-    decay = np.exp(-np.multiply(lam, dt))
-    sd = gamma * np.sqrt((1.0 - np.exp(-2.0 * np.multiply(lam, dt))) / (2.0 * lam))
-    return decay * x_prev + sd * noise
+    decay, scale = _transition_coeffs(np.asarray(lam, dtype=np.float64),
+                                      gamma, dt)
+    return decay * x_prev + scale * noise
+
+
+def _modes(n: int) -> np.ndarray:
+    return np.arange(1, n + 1, dtype=np.float64)
 
 
 def _mode_tables(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec):
-    """Eigenvalues and per-mode noise amplitudes on the (K, L) mode grid."""
-    k = np.arange(1, trunc.K + 1, dtype=np.float64)
-    l = np.arange(1, trunc.L + 1, dtype=np.float64)
-    sumsq = k[:, None] ** 2 + l[None, :] ** 2
+    """Eigenvalues and noise damping bases on the (K, L) mode grid.
+
+    The damping base is the eigenvalue itself for Q1 and ``pi^2 (k^2 + l^2)
+    + mu0`` for Q2; mode ``(k, l)`` has noise amplitude ``sigma *
+    base^(-alpha/2)``.
+    """
+    sumsq = _modes(trunc.K)[:, None] ** 2 + _modes(trunc.L)[None, :] ** 2
     lam = (-params.theta0
            + (params.theta1 ** 2 + params.eta1 ** 2) / (4.0 * params.theta2)
            + np.pi ** 2 * params.theta2 * sumsq)
@@ -155,8 +163,17 @@ def _mode_tables(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec):
         damp_base = np.pi ** 2 * sumsq + params.require_mu0()
     else:
         damp_base = lam
-    gamma = params.sigma * damp_base ** (-0.5 * params.alpha)
-    return lam, gamma
+    return lam, damp_base
+
+
+def _factor_table(ks, xs, rate: float, amp: float = np.sqrt(2.0)):
+    """Eigenfunction factor ``amp sin(pi k x) exp(-rate x / 2)``, one row per
+    index in ``ks`` and one column per point in ``xs``.
+
+    With the default amplitude the outer product of the y and z tables is
+    the eigenfunction, and its boundary columns are exactly zero.
+    """
+    return amp * sinpi(np.multiply.outer(ks, xs)) * np.exp(-0.5 * rate * xs)
 
 
 def _transition_coeffs(lam: np.ndarray, gamma: np.ndarray, dt: float):
@@ -179,28 +196,49 @@ def _check_budget(nbytes: int, budget: int, what: str):
             "raise memory_budget_bytes or shrink the request")
 
 
-def _iter_states(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
-                 trunc: TruncationSpec, init: InitialCondition,
-                 seed: RngSeed, rep: int) -> Iterator[np.ndarray]:
-    """Yield the flattened (K*L,) mode state at t_0, t_1, ..., t_N.
+def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
+           trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
+           reps: range) -> Iterator[np.ndarray]:
+    """Yield the ``(len(reps), K*L)`` mode state at t_0, t_1, ..., t_N.
 
-    The yielded array is updated in place between steps; copy it to keep it.
+    Row ``r`` is replication ``reps[r]``, whose noise streams are keyed by
+    ``(seed, reps[r])``.  The yielded array is updated in place between
+    steps; copy it to keep it.
     """
-    lam, gamma = _mode_tables(params, kind, trunc)
+    lam, damp_base = _mode_tables(params, kind, trunc)
+    gamma = params.sigma * damp_base ** (-0.5 * params.alpha)
     decay, scale = _transition_coeffs(lam, gamma, grid.dt)
-    decay = np.ascontiguousarray(decay.ravel())
-    scale = np.ascontiguousarray(scale.ravel())
+    n_reps = len(reps)
+    decay = np.tile(decay.ravel(), n_reps)
+    scale = np.tile(scale.ravel(), n_reps)
     c2, c3 = _stream_words(trunc)
-    key1 = np.full(trunc.n_modes, np.uint64(rep), dtype=np.uint64)
-    x = init.dense(trunc).ravel()
-    yield x
+    c2 = np.tile(c2, n_reps)
+    c3 = np.tile(c3, n_reps)
+    key1 = np.repeat(np.array(reps, dtype=np.uint64), trunc.n_modes)
+    # Zero starts skip the dense table: allocating and freeing it before the
+    # loop adds 1.5 MB to the peak RSS of a desk-scale replication.
+    x = np.zeros(n_reps * trunc.n_modes)
+    state = x.reshape(n_reps, trunc.n_modes)
+    if init.coefficients:
+        state[:] = init.dense(trunc).ravel()
+    yield state
     block = None
     for i in range(1, grid.N + 1):
         b, lane = divmod(i - 1, 4)
         if lane == 0:
             block = kernels.normal_block(b, c2, c3, seed.master, key1)
         kernels.ou_step(x, decay, scale, block[:, lane])
-        yield x
+        yield state
+
+
+def _rep_chunks(first_rep: int, n_reps: int,
+                trunc: TruncationSpec) -> Iterator[range]:
+    """Consecutive replication ranges of about 2M noise streams at most,
+    which bounds the working memory of one sweep."""
+    chunk = max(1, (1 << 21) // trunc.n_modes)
+    stop = first_rep + n_reps
+    for r0 in range(first_rep, stop, chunk):
+        yield range(r0, min(r0 + chunk, stop))
 
 
 def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
@@ -222,30 +260,22 @@ def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
     nbytes = 8 * n_reps * trunc.n_modes * (grid.N + 1)
     _check_budget(nbytes, memory_budget_bytes, "coordinate path storage")
     out = np.empty((n_reps, trunc.K, trunc.L, grid.N + 1), dtype=np.float64)
-    for r in range(n_reps):
-        states = _iter_states(params, kind, grid, trunc, init, seed,
-                              first_rep + r)
-        for i, x in enumerate(states):
-            out[r, :, :, i] = x.reshape(trunc.K, trunc.L)
+    for chunk in _rep_chunks(first_rep, n_reps, trunc):
+        rows = out[chunk.start - first_rep:chunk.stop - first_rep]
+        for i, x in enumerate(_sweep(params, kind, grid, trunc, init, seed,
+                                     chunk)):
+            rows[..., i] = x.reshape(len(chunk), trunc.K, trunc.L)
     if reps is None:
         return out[0]
     return out
 
 
-def _eigen_tables(params: ModelParams, trunc: TruncationSpec,
-                  ys: np.ndarray, zs: np.ndarray):
-    """Separable eigenfunction factor tables.
-
-    ``ey[k-1, j] = sqrt(2) sin(pi k y_j) exp(-kappa y_j / 2)`` and the
-    analogous ``ez``; their outer product is the eigenfunction, and the
-    boundary columns are exactly zero.
-    """
-    root2 = np.sqrt(2.0)
-    k = np.arange(1, trunc.K + 1, dtype=np.float64)
-    l = np.arange(1, trunc.L + 1, dtype=np.float64)
-    ey = root2 * sinpi(k[:, None] * ys[None, :]) * np.exp(-0.5 * params.kappa * ys)[None, :]
-    ez = root2 * sinpi(l[:, None] * zs[None, :]) * np.exp(-0.5 * params.eta * zs)[None, :]
-    return ey, ez
+def _lattice_tables(params: ModelParams, trunc: TruncationSpec,
+                    grid: SpaceTimeGrid):
+    """Factor tables of the lattice projection ``ey^T @ state @ ez``."""
+    ey = _factor_table(_modes(trunc.K), grid.ys(), params.kappa)
+    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
+    return np.ascontiguousarray(ey.T), ez
 
 
 def _provenance(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec,
@@ -271,8 +301,7 @@ def synthesize_field(paths: np.ndarray, grid: SpaceTimeGrid,
     if paths.shape != expected:
         raise GridMismatchError(
             f"paths shape {paths.shape} does not match truncation/grid {expected}")
-    ey, ez = _eigen_tables(params, trunc, grid.ys(), grid.zs())
-    eyT = np.ascontiguousarray(ey.T)
+    eyT, ez = _lattice_tables(params, trunc, grid)
     values = np.empty((grid.N + 1, grid.M1 + 1, grid.M2 + 1), dtype=np.float64)
     for i in range(grid.N + 1):
         values[i] = eyT @ np.ascontiguousarray(paths[:, :, i]) @ ez
@@ -293,10 +322,9 @@ def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     """
     nbytes = 8 * (grid.N + 1) * (grid.M1 + 1) * (grid.M2 + 1)
     _check_budget(nbytes, memory_budget_bytes, "field sample")
-    ey, ez = _eigen_tables(params, trunc, grid.ys(), grid.zs())
-    eyT = np.ascontiguousarray(ey.T)
+    eyT, ez = _lattice_tables(params, trunc, grid)
     values = np.empty((grid.N + 1, grid.M1 + 1, grid.M2 + 1), dtype=np.float64)
-    states = _iter_states(params, kind, grid, trunc, init, seed, rep)
+    states = _sweep(params, kind, grid, trunc, init, seed, range(rep, rep + 1))
     for i, x in enumerate(states):
         values[i] = eyT @ x.reshape(trunc.K, trunc.L) @ ez
     return FieldSample(values=values, grid=grid,
@@ -325,36 +353,14 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     out = np.empty((reps, grid.N + 1, len(pts)), dtype=np.float64)
     _check_budget(out.nbytes, memory_budget_bytes, "point-value storage")
 
-    lam, gamma = _mode_tables(params, kind, trunc)
-    decay1, scale1 = _transition_coeffs(lam, gamma, grid.dt)
-    decay1 = decay1.ravel()
-    scale1 = scale1.ravel()
     ys = np.array([p[0] for p in pts])
     zs = np.array([p[1] for p in pts])
-    k = np.arange(1, trunc.K + 1, dtype=np.float64)
-    l = np.arange(1, trunc.L + 1, dtype=np.float64)
-    ek = np.sqrt(2.0) * sinpi(k[:, None] * ys[None, :]) * np.exp(-0.5 * params.kappa * ys)
-    el = np.sqrt(2.0) * sinpi(l[:, None] * zs[None, :]) * np.exp(-0.5 * params.eta * zs)
+    ek = _factor_table(_modes(trunc.K), ys, params.kappa)
+    el = _factor_table(_modes(trunc.L), zs, params.eta)
     etab = (ek[:, None, :] * el[None, :, :]).reshape(n_modes, len(pts))
-
-    c2_one, c3_one = _stream_words(trunc)
-    chunk = max(1, (1 << 21) // n_modes)
-    for r0 in range(0, reps, chunk):
-        r1 = min(r0 + chunk, reps)
-        nr = r1 - r0
-        c2 = np.tile(c2_one, nr)
-        c3 = np.tile(c3_one, nr)
-        key1 = np.repeat(
-            np.arange(first_rep + r0, first_rep + r1, dtype=np.uint64), n_modes)
-        decay = np.tile(decay1, nr)
-        scale = np.tile(scale1, nr)
-        x = np.zeros(nr * n_modes, dtype=np.float64)
-        out[r0:r1, 0, :] = 0.0
-        block = None
-        for i in range(1, grid.N + 1):
-            b, lane = divmod(i - 1, 4)
-            if lane == 0:
-                block = kernels.normal_block(b, c2, c3, seed.master, key1)
-            kernels.ou_step(x, decay, scale, block[:, lane])
-            out[r0:r1, i, :] = x.reshape(nr, n_modes) @ etab
+    for chunk in _rep_chunks(first_rep, reps, trunc):
+        rows = out[chunk.start - first_rep:chunk.stop - first_rep]
+        for i, x in enumerate(_sweep(params, kind, grid, trunc, ZERO_INITIAL,
+                                     seed, chunk)):
+            rows[:, i, :] = x @ etab
     return out

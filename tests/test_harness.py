@@ -59,6 +59,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    @pytest.mark.parametrize("key", ["replication", "grid.n",
+                                     "contrast.initgrid", "params.sigma2"])
+    def test_unknown_keys_rejected(self, key):
+        d = 1
+        for part in reversed(key.split(".")):
+            d = {part: d}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(d)
+
+    def test_section_must_be_an_object(self):
+        with pytest.raises(ConfigError, match="'grid'"):
+            ExperimentConfig.from_dict({"grid": 5})
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict([])
+
+    def test_readme_config_block_is_the_default(self):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir,
+                              "README.md")
+        with open(readme) as fh:
+            text = fh.read()
+        block = text.split("```json\n", 1)[1].split("```", 1)[0]
+        stripped = "\n".join(line.split("//")[0] for line in block.splitlines())
+        assert json.loads(stripped) == default_config().to_dict()
+
     def test_invalid_values_raise_config_error(self):
         d = dict(SMALL)
         d["params"] = dict(SMALL["params"], alpha=1.5)
@@ -231,6 +255,9 @@ class TestCrossSection:
         lines = text.strip().split("\n")
         assert lines[0] == "y,z,value"
         assert len(lines) == 1 + 11 * 11
+        cells = [[float(c) for c in line.split(",")] for line in lines[1:]]
+        assert all(len(row) == 3 for row in cells)
+        assert cells[12] == [0.1, 0.1, float(field.values[1, 1, 1])]
 
 
 class TestFieldIo:
@@ -375,15 +402,3 @@ def test_estimate_covariance_flag(tmp_path):
     if cov is not None:
         assert cov["which"] == "J"
         assert len(cov["entries"]) == 5
-
-
-def test_fieldio_time_slice_csv(reference_params, tmp_path):
-    field = simulate_field(reference_params, NoiseKind.Q1,
-                           SpaceTimeGrid(N=3, M1=4, M2=4),
-                           TruncationSpec(K=2, L=2), seed=RngSeed(8))
-    text = fieldio.time_slice_csv(field, 2)
-    lines = text.strip().split("\n")
-    assert lines[0] == "y,z,value"
-    assert len(lines) == 1 + 5 * 5
-    with pytest.raises(ConfigError):
-        fieldio.time_slice_csv(field, 9)

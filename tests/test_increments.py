@@ -9,7 +9,7 @@ from spde2d.errors import ConfigError, GridMismatchError, ThinningError
 from spde2d.increments import (asymptotic_mean, build_space_thinning,
                                expected_squared_increment_oracle,
                                expected_squared_increment_total,
-                               squared_increment_field, zn_csv)
+                               squared_increment_field)
 from spde2d.model import ModelParams, NoiseKind
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
                              TruncationSpec, simulate_field)
@@ -218,18 +218,3 @@ class TestAsymptoticMean:
             errs.append(abs(normalized - asymptotic_mean(
                 reference_params, NoiseKind.Q1, 0.5, 0.5)))
         assert errs[0] > errs[1] > errs[2]
-
-
-def test_zn_csv_layout(reference_params):
-    grid = SpaceTimeGrid(N=4, M1=10, M2=10)
-    field = simulate_field(reference_params, NoiseKind.Q1, grid,
-                           TruncationSpec(K=4, L=4), seed=SEED)
-    thin = build_space_thinning(10, 10, 5, 5, 0.2)
-    z = squared_increment_field(field, thin, 0.5)
-    text = zn_csv(z)
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("y\\z,")
-    assert len(lines) == 1 + thin.m1
-    first = lines[1].split(",")
-    assert float(first[0]) == thin.points_y[0]
-    assert len(first) == 1 + thin.m2

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from spde2d.errors import ConfigError, GridMismatchError
 from spde2d.model import Mode, NoiseKind, eigenvalue
 from spde2d.reconstruct import (ApproxCoordinatePath, approx_coordinate,
-                                build_time_thinning, path_csv, realized_qv)
+                                build_time_thinning, realized_qv)
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
                              TruncationSpec, simulate_coordinate_paths,
                              synthesize_field)
@@ -190,14 +190,3 @@ class TestRealizedQv:
                                     eta_used=0.0)
         with pytest.raises(ConfigError):
             realized_qv(path)
-
-
-def test_path_csv_round_trips_values():
-    path = ApproxCoordinatePath(mode=Mode(1, 2),
-                                values=np.array([0.0, 0.5, -0.25]),
-                                times=np.array([0.0, 0.5, 1.0]),
-                                kappa_used=1.0, eta_used=1.0)
-    text = path_csv(path)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,value"
-    assert [float(l.split(",")[1]) for l in lines[1:]] == [0.0, 0.5, -0.25]

@@ -1,5 +1,6 @@
 """Simulator: exact transitions, marginal laws, determinism, linearity."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -128,6 +129,43 @@ class TestCoordinatePaths:
                                       SpaceTimeGrid(N=100, M1=2, M2=2),
                                       TruncationSpec(K=64, L=64), seed=SEED,
                                       memory_budget_bytes=1 << 20)
+
+
+class TestNoiseContract:
+    # sha256 of the coordinate-path bytes at a tiny configuration: two
+    # replications from first_rep=5 and a nonzero initial state.  No BLAS
+    # call is involved, so the digests pin the Philox keying, the normal map
+    # and the exact OU step end to end.
+    DIGESTS = {
+        NoiseKind.Q1:
+            "38140e9762d253cc5ca40a7ffe4c8600806896d9687ca562f936618c15dbeb99",
+        NoiseKind.Q2_KNOWN_MU0:
+            "a88a5d1e1e4d1db81b2dde5e41ce04bc5c660bb39fc073a56d95c36bfd262d37",
+    }
+
+    @pytest.mark.parametrize("kind", list(DIGESTS))
+    def test_coordinate_path_digest(self, kind):
+        p = ModelParams(0.0, 0.2, 0.2, 0.2, 1.0, 0.5,
+                        mu0=1.0 if kind.is_q2 else None)
+        paths = simulate_coordinate_paths(
+            p, kind, SpaceTimeGrid(N=9, M1=4, M2=4), TruncationSpec(K=3, L=4),
+            InitialCondition({Mode(1, 1): 0.5, Mode(3, 4): -0.25}),
+            RngSeed(20220121), reps=2, first_rep=5)
+        assert paths.shape == (2, 3, 4, 10)
+        digest = hashlib.sha256(paths.tobytes()).hexdigest()
+        assert digest == self.DIGESTS[kind]
+
+    def test_batched_replications_match_single_runs(self, reference_params):
+        grid = SpaceTimeGrid(N=9, M1=4, M2=4)
+        trunc = TruncationSpec(K=3, L=4)
+        batch = simulate_coordinate_paths(reference_params, NoiseKind.Q1,
+                                          grid, trunc, seed=SEED, reps=3,
+                                          first_rep=2)
+        for r in range(3):
+            one = simulate_coordinate_paths(reference_params, NoiseKind.Q1,
+                                            grid, trunc, seed=SEED,
+                                            first_rep=2 + r)
+            assert np.array_equal(batch[r], one)
 
 
 class TestFieldSynthesis:
