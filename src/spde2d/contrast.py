@@ -3,10 +3,11 @@
 The contrast is the squared distance, over the thinned interior points,
 between the squared-increment statistic and its mean surface
 ``c(alpha) * scale * exp(-kappa y - eta z)``.  The scale enters linearly,
-so it is profiled out in closed form and the search runs over (kappa, eta)
-only: multi-start quasi-Newton with the analytic gradient, followed by a
-Newton polish of the best candidates.  For the Q2 noises the same
-functional applies with the scale read as ``S = sigma^2/theta2^(1-alpha)``
+so it is profiled out in closed form (variable projection) and the search
+runs over (kappa, eta) only: projected Newton steps with the analytic
+gradient and Hessian from the least-squares fit of the log-linear surface
+to ``log Z``, with a grid of starts as the fallback.  For the Q2 noises the
+same functional applies with the scale read as ``S = sigma^2/theta2^(1-alpha)``
 instead of ``s = sigma^2/theta2``.
 """
 
@@ -15,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .errors import ConfigError, GridMismatchError
 from .increments import SpaceThinning, SquaredIncrementField
@@ -111,126 +111,118 @@ def profile_scale(zfield: SquaredIncrementField, thin: SpaceThinning,
     return min(max(raw, scale_box[0]), scale_box[1])
 
 
-def _profiled(zfield, thin, alpha, config):
-    """Objective and gradient of the contrast in (kappa, eta) with the
-    scale profiled out (envelope: the scale direction is stationary or
-    clamped, so the partial gradient is the full derivative)."""
+def _profiled_hessian(zfield: SquaredIncrementField, thin: SpaceThinning,
+                      scale: float, kappa: float, eta: float, alpha: float,
+                      scale_box: tuple[float, float]) -> np.ndarray:
+    """Analytic Hessian in (kappa, eta) of the contrast with the scale
+    profiled out, at the profiled ``scale``.
 
-    def fun_grad(x):
-        kappa, eta = float(x[0]), float(x[1])
-        s = profile_scale(zfield, thin, kappa, eta, alpha, config.scale_box)
-        val = contrast_value(zfield, thin, s, kappa, eta, alpha)
-        grad = contrast_gradient(zfield, thin, s, kappa, eta, alpha)[1:]
-        return val, grad
-
-    return fun_grad
-
-
-def _projected_gradient(x, g, bounds):
-    pg = np.array(g, dtype=np.float64)
-    for i, (lo, hi) in enumerate(bounds):
-        if x[i] <= lo and g[i] > 0:
-            pg[i] = 0.0
-        if x[i] >= hi and g[i] < 0:
-            pg[i] = 0.0
-    return pg
-
-
-def _newton_polish(fun_grad, x0, bounds, config):
-    """Few safeguarded Newton steps with a finite-difference Hessian of the
-    analytic gradient; drives stationary points to machine precision.
-
-    Steps are accepted on a decrease of the projected-gradient norm: close
-    to the optimum the objective itself is flat to rounding, so a value
-    comparison cannot discriminate.
+    With points ``d_j = (y_j, z_j)`` and ``a_j = (2 c scale w_j - Z_j) w_j``
+    the contrast has ``f_uu = 2 c scale sum a_j d_j d_j^T``,
+    ``f_us = -2 c sum a_j d_j`` and ``f_ss = 2 c^2 sum w_j^2``.  An interior
+    scale is eliminated by the Schur complement ``f_uu - f_us f_us^T / f_ss``;
+    a scale clamped to the box is locally constant, which leaves ``f_uu``.
     """
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    x = np.array(x0, dtype=np.float64)
-    val, grad = fun_grad(x)
-    gnorm = np.linalg.norm(_projected_gradient(x, grad, bounds))
-    h = 1e-6
-    for _ in range(25):
-        if gnorm <= 1e-3 * config.grad_tol:
-            break
-        hess = np.empty((2, 2))
-        for i in range(2):
-            e = np.zeros(2)
-            e[i] = h
-            _, gp = fun_grad(x + e)
-            _, gm = fun_grad(x - e)
-            hess[:, i] = (gp - gm) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        try:
-            step = np.linalg.solve(hess, -grad)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        accepted = False
-        for _ in range(30):
-            cand = np.clip(x + step, lo, hi)
-            cval, cgrad = fun_grad(cand)
-            cnorm = np.linalg.norm(_projected_gradient(cand, cgrad, bounds))
-            if cnorm < gnorm:
-                moved = np.linalg.norm(cand - x)
-                x, val, grad, gnorm = cand, cval, cgrad, cnorm
-                accepted = True
-                if moved <= config.step_tol:
-                    return x, val, grad
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    return x, val, grad
+    c = contrast_coefficient(alpha)
+    w = _weights(thin, kappa, eta)
+    d = np.stack(np.broadcast_arrays(thin.points_y[:, None],
+                                     thin.points_z[None, :])).reshape(2, -1)
+    ad = ((2.0 * c * scale * w - zfield.values) * w).ravel() * d
+    hess = 2.0 * c * scale * (ad @ d.T)
+    if scale_box[0] < scale < scale_box[1]:
+        g = ad.sum(axis=1)
+        hess -= 2.0 * np.outer(g, g) / float(np.sum(w * w))
+    return hess
+
+
+def _log_linear_start(zfield: SquaredIncrementField, thin: SpaceThinning):
+    """(kappa, eta) of the least-squares fit of ``log Z`` on ``(1, -y, -z)``,
+    or None without a logarithm (a value <= 0) or a slope (an axis with one
+    point)."""
+    values = zfield.values
+    if (min(thin.m1, thin.m2) < 2
+            or not 0 < values.min() <= values.max() < np.inf):
+        return None
+    y, z = np.meshgrid(thin.points_y, thin.points_z, indexing="ij")
+    design = np.column_stack([np.ones(values.size), -y.ravel(), -z.ravel()])
+    return np.linalg.lstsq(design, np.log(values).ravel(), rcond=None)[0][1:]
 
 
 def minimize_contrast(zfield: SquaredIncrementField, thin: SpaceThinning,
                       alpha: float, config: ContrastConfig = ContrastConfig()
                       ) -> MinimumContrastFit:
-    """Best fit over a deterministic multi-start search.
+    """Projected Newton fit from the closed-form log-linear start.
 
-    Ties in the final contrast (within 1e-12) break toward the smallest
-    (kappa, eta) in lexicographic order, so the result does not depend on
-    start ordering.  ``converged`` requires the projected gradient norm to
-    meet ``grad_tol`` and at least 3 interior points (with fewer the three
-    parameters are not identifiable).
+    The ``init_grid`` x ``init_grid`` grid of starts over the box runs the
+    same iteration only when that start is unavailable or ends
+    non-stationary; ``n_restarts_used`` counts every start run.  Ties in
+    the final contrast (within 1e-12) break toward the smallest
+    (kappa, eta) in lexicographic order.  ``converged`` requires a
+    projected gradient norm of at most ``grad_tol * (sum Z^2 + contrast)``,
+    the size of its terms, and at least 3 interior points (with fewer the
+    three parameters are not identifiable).
     """
     _check_fields(zfield, thin)
-    fun_grad = _profiled(zfield, thin, alpha, config)
-    bounds = [config.kappa_box, config.eta_box]
-    kappas = np.linspace(*config.kappa_box, config.init_grid)
-    etas = np.linspace(*config.eta_box, config.init_grid)
+    lo, hi = np.array([config.kappa_box, config.eta_box]).T
+    zz = float(np.vdot(zfield.values, zfield.values))
+    rounding = thin.m * np.finfo(np.float64).eps
 
-    candidates = []
-    for k0 in kappas:
-        for e0 in etas:
-            res = _scipy_minimize(fun_grad, np.array([k0, e0]), jac=True,
-                                  method="L-BFGS-B", bounds=bounds,
-                                  options={"maxiter": config.max_iter,
-                                           "ftol": 1e-18,
-                                           "gtol": config.grad_tol})
-            candidates.append((float(res.fun), float(res.x[0]), float(res.x[1])))
-    n_restarts = len(candidates)
+    def evaluate(x):
+        # envelope: the profiled scale is stationary or clamped, so the
+        # partial gradient in (kappa, eta) is the full derivative
+        kappa, eta = float(x[0]), float(x[1])
+        s = profile_scale(zfield, thin, kappa, eta, alpha, config.scale_box)
+        grad = contrast_gradient(zfield, thin, s, kappa, eta, alpha)[1:]
+        held = ((x <= lo) & (grad > 0)) | ((x >= hi) & (grad < 0))
+        return (s, contrast_value(zfield, thin, s, kappa, eta, alpha), grad,
+                ~held, float(np.linalg.norm(np.where(held, 0.0, grad))))
 
-    candidates.sort()
-    polished = []
-    for fun0, k0, e0 in candidates[:5]:
-        x, val, grad = _newton_polish(fun_grad, (k0, e0), bounds, config)
-        polished.append((val, float(x[0]), float(x[1]), grad))
-    for fun0, k0, e0 in candidates[5:]:
-        polished.append((fun0, k0, e0, None))
+    def newton(x):
+        """Newton steps on the coordinates not held at a bound, with the
+        Hessian's eigenvalues in absolute value so that every step points
+        downhill (near-null directions take none).  A step is halved until
+        the contrast decreases, or stays flat to rounding while the
+        projected gradient shrinks: near the optimum only the gradient
+        discriminates.  Stops when stationary, on a step of at most
+        ``step_tol``, on no acceptable step or after ``max_iter`` steps."""
+        x = np.clip(x, lo, hi)
+        s, val, grad, free, gnorm = evaluate(x)
+        for _ in range(config.max_iter):
+            if gnorm <= config.grad_tol * (zz + val):
+                break
+            lam, vec = np.linalg.eigh(_profiled_hessian(
+                zfield, thin, s, float(x[0]), float(x[1]), alpha,
+                config.scale_box)[np.ix_(free, free)])
+            keep = np.abs(lam) > 1e-12 * np.abs(lam).max()
+            if not keep.any():
+                break
+            step = np.zeros(2)
+            step[free] = -vec[:, keep] @ (vec[:, keep].T @ grad[free]
+                                          / np.abs(lam[keep]))
+            for _ in range(40):
+                cand = np.clip(x + step, lo, hi)
+                new = evaluate(cand)
+                if new[1] < val or (new[1] <= val + rounding * (zz + val)
+                                    and new[4] < gnorm):
+                    break
+                step /= 2.0
+            else:
+                break
+            moved = float(np.linalg.norm(cand - x))
+            x, (s, val, grad, free, gnorm) = cand, new
+            if moved <= config.step_tol:
+                break
+        return (val, float(x[0]), float(x[1]), s,
+                gnorm <= config.grad_tol * (zz + val))
 
-    best_val = min(p[0] for p in polished)
-    eligible = [p for p in polished if p[0] <= best_val + 1e-12]
-    eligible.sort(key=lambda p: (p[1], p[2]))
-    val, kappa, eta, grad = eligible[0]
-    if grad is None:
-        val, grad = fun_grad(np.array([kappa, eta]))
-
-    scale = profile_scale(zfield, thin, kappa, eta, alpha, config.scale_box)
-    pg = _projected_gradient(np.array([kappa, eta]), grad, bounds)
-    converged = bool(np.linalg.norm(pg) <= config.grad_tol) and thin.m >= 3
-    return MinimumContrastFit(scale=scale, kappa_hat=kappa, eta_hat=eta,
-                              contrast=val, converged=converged,
-                              n_restarts_used=n_restarts)
+    start = _log_linear_start(zfield, thin)
+    runs = [] if start is None else [newton(start)]
+    if not runs or not runs[0][4]:
+        runs += [newton(np.array([k0, e0]))
+                 for k0 in np.linspace(*config.kappa_box, config.init_grid)
+                 for e0 in np.linspace(*config.eta_box, config.init_grid)]
+    best = min(r[0] for r in runs)
+    val, kappa, eta, scale, stationary = min(
+        (r for r in runs if r[0] <= best + 1e-12), key=lambda r: (r[1], r[2]))
+    return MinimumContrastFit(scale, kappa, eta, val,
+                              stationary and thin.m >= 3, len(runs))

@@ -52,9 +52,11 @@ def read_field(path: str) -> FieldSample:
         if version != VERSION:
             raise ConfigError(f"unsupported field dump version {version}")
         count = (n + 1) * (m1 + 1) * (m2 + 1)
-        data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-        if data.size != count:
-            raise ConfigError(f"{path} is truncated")
+        raw = fh.read(8 * count + 1)
+        if len(raw) != 8 * count:
+            what = "truncated" if len(raw) < 8 * count else "padded"
+            raise ConfigError(f"{path} is {what} ({count} values expected)")
+        data = np.frombuffer(raw, dtype="<f8")
     grid = SpaceTimeGrid(N=n, M1=m1, M2=m2)
     values = data.astype(np.float64).reshape(n + 1, m1 + 1, m2 + 1)
     provenance = {}

@@ -95,7 +95,7 @@ class ExperimentConfig:
                        replications=c["replications"],
                        seed=RngSeed(c["seed"]),
                        exponents=Exponents(**c["exponents"]))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ConfigError):
                 raise
             raise ConfigError(f"invalid experiment configuration: {exc}") from exc
@@ -103,7 +103,8 @@ class ExperimentConfig:
 
 def _merge(default, value, where: str):
     """``value`` over ``default``, coerced to the type of the default: a
-    list default gives a tuple, a null default a float or null."""
+    list default gives a tuple, a null default a float or null.  A value
+    that the coercion would change, or a boolean, is refused."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             what = f"section {where[:-1]!r}" if where else "file"
@@ -121,7 +122,11 @@ def _merge(default, value, where: str):
         return tuple(value)
     if isinstance(default, str):
         return value
-    return type(default)(value)
+    coerced = type(default)(value)
+    if isinstance(value, bool) or coerced != value:
+        raise ConfigError(f"configuration key {where[:-1]!r} must be "
+                          f"{type(default).__name__}, got {value!r}")
+    return coerced
 
 
 def default_config() -> ExperimentConfig:

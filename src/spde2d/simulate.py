@@ -232,13 +232,15 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
 
 
 def _rep_chunks(first_rep: int, n_reps: int,
-                trunc: TruncationSpec) -> Iterator[range]:
+                trunc: TruncationSpec) -> list[range]:
     """Consecutive replication ranges of about 2M noise streams at most,
     which bounds the working memory of one sweep."""
+    if n_reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {n_reps}")
     chunk = max(1, (1 << 21) // trunc.n_modes)
     stop = first_rep + n_reps
-    for r0 in range(first_rep, stop, chunk):
-        yield range(r0, min(r0 + chunk, stop))
+    return [range(r0, min(r0 + chunk, stop))
+            for r0 in range(first_rep, stop, chunk)]
 
 
 def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
@@ -255,12 +257,11 @@ def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
     and the shape is ``(reps, K, L, N+1)``.
     """
     n_reps = 1 if reps is None else reps
-    if n_reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {reps}")
+    chunks = _rep_chunks(first_rep, n_reps, trunc)
     nbytes = 8 * n_reps * trunc.n_modes * (grid.N + 1)
     _check_budget(nbytes, memory_budget_bytes, "coordinate path storage")
     out = np.empty((n_reps, trunc.K, trunc.L, grid.N + 1), dtype=np.float64)
-    for chunk in _rep_chunks(first_rep, n_reps, trunc):
+    for chunk in chunks:
         rows = out[chunk.start - first_rep:chunk.stop - first_rep]
         for i, x in enumerate(_sweep(params, kind, grid, trunc, init, seed,
                                      chunk)):
@@ -349,7 +350,7 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     pts = [(float(y), float(z)) for (y, z) in points]
     if not pts:
         raise ConfigError("points must be non-empty")
-    n_modes = trunc.n_modes
+    chunks = _rep_chunks(first_rep, reps, trunc)
     out = np.empty((reps, grid.N + 1, len(pts)), dtype=np.float64)
     _check_budget(out.nbytes, memory_budget_bytes, "point-value storage")
 
@@ -357,8 +358,8 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     zs = np.array([p[1] for p in pts])
     ek = _factor_table(_modes(trunc.K), ys, params.kappa)
     el = _factor_table(_modes(trunc.L), zs, params.eta)
-    etab = (ek[:, None, :] * el[None, :, :]).reshape(n_modes, len(pts))
-    for chunk in _rep_chunks(first_rep, reps, trunc):
+    etab = (ek[:, None, :] * el[None, :, :]).reshape(-1, len(pts))
+    for chunk in chunks:
         rows = out[chunk.start - first_rep:chunk.stop - first_rep]
         for i, x in enumerate(_sweep(params, kind, grid, trunc, ZERO_INITIAL,
                                      seed, chunk)):

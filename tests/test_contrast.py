@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from spde2d.contrast import (ContrastConfig, contrast_gradient,
-                             contrast_value, minimize_contrast, profile_scale)
+from spde2d.contrast import (ContrastConfig, _profiled_hessian,
+                             contrast_gradient, contrast_value,
+                             minimize_contrast, profile_scale)
 from spde2d.increments import (SpaceThinning, SquaredIncrementField,
                                build_space_thinning)
 from spde2d.model import contrast_coefficient
@@ -88,6 +89,38 @@ class TestGradient:
         assert np.allclose(g2[0], 3.0 * g1[0], rtol=1e-9)
 
 
+class TestProfiledHessian:
+    @staticmethod
+    def profiled_gradient(z, thin, k, e, box):
+        s = profile_scale(z, thin, k, e, ALPHA, box)
+        return contrast_gradient(z, thin, s, k, e, ALPHA)[1:]
+
+    @pytest.mark.parametrize("box,interior", [((1e-3, 1e3), True),
+                                              ((1e-3, 0.05), False)])
+    def test_matches_central_differences_of_profiled_gradient(
+            self, rng, box, interior):
+        # the clamped case pins the scale at the top of a narrow box
+        thin = make_thinning()
+        values = surface(thin, 3.0, 0.8, -0.6) * rng.uniform(
+            0.5, 1.5, (thin.m1, thin.m2))
+        z = zfield(values, thin)
+        h = 1e-6
+        for _ in range(50):
+            k = float(rng.uniform(-2.0, 2.0))
+            e = float(rng.uniform(-2.0, 2.0))
+            s = profile_scale(z, thin, k, e, ALPHA, box)
+            assert (box[0] < s < box[1]) == interior
+            hess = _profiled_hessian(z, thin, s, k, e, ALPHA, box)
+            fd = np.empty((2, 2))
+            for i, d in enumerate(np.eye(2) * h):
+                up = self.profiled_gradient(z, thin, k + d[0], e + d[1], box)
+                dn = self.profiled_gradient(z, thin, k - d[0], e - d[1], box)
+                fd[:, i] = (up - dn) / (2 * h)
+            assert np.allclose(hess, fd, rtol=1e-5,
+                               atol=1e-7 * np.abs(fd).max())
+            assert np.allclose(hess, hess.T, rtol=1e-12, atol=0)
+
+
 class TestProfileScale:
     def test_exact_surface_recovers_scale(self):
         thin = make_thinning()
@@ -124,7 +157,8 @@ class TestMinimize:
         assert abs(fit.eta_hat - 1.0) < 1e-8
         assert fit.contrast < 1e-16
         assert fit.converged
-        assert fit.n_restarts_used == 25
+        # the closed-form start is already stationary: no grid starts
+        assert fit.n_restarts_used == 1
 
     @pytest.mark.parametrize("truth", [(0.5, -2.0, 3.0), (12.0, 0.0, 0.0),
                                        (2.0, 4.0, -4.0)])
@@ -136,13 +170,19 @@ class TestMinimize:
         assert abs(fit.scale - s) < 1e-8 * max(1, s)
         assert abs(fit.kappa_hat - k) < 1e-8
         assert abs(fit.eta_hat - e) < 1e-8
+        assert fit.converged
+        assert fit.n_restarts_used == 1
 
+    @pytest.mark.filterwarnings("error")
     def test_zero_statistic_returns_clamped_scale(self):
         thin = make_thinning()
         z = zfield(np.zeros((thin.m1, thin.m2)), thin)
         fit = minimize_contrast(z, thin, ALPHA)
         assert fit.scale == 1e-3
+        # no logarithm, so no closed-form start: every grid start runs
+        assert fit.n_restarts_used == 25
 
+    @pytest.mark.filterwarnings("error")
     def test_single_point_underdetermined(self):
         thin = build_space_thinning(10, 10, 2, 2, 0.45)
         assert thin.m == 1
@@ -164,6 +204,7 @@ class TestMinimize:
         fit1 = minimize_contrast(z, thin, ALPHA)
         fit2 = minimize_contrast(z, thin, ALPHA)
         assert fit1 == fit2
+        assert fit1.converged
 
     def test_noisy_surface_converges_near_truth(self, rng):
         thin = make_thinning()
@@ -175,13 +216,25 @@ class TestMinimize:
         assert abs(fit.kappa_hat - 1.0) < 0.15
         assert abs(fit.eta_hat - 1.0) < 0.15
 
-    def test_restart_count_honours_config(self):
+    def test_restart_count_honours_config(self, rng):
         thin = make_thinning()
-        z = zfield(surface(thin, 2.0, 0.5, 0.5), thin)
+        values = surface(thin, 2.0, 0.5, 0.5)
         config = ContrastConfig(init_grid=3)
-        fit = minimize_contrast(z, thin, ALPHA, config)
-        assert fit.n_restarts_used == 9
+        fit = minimize_contrast(zfield(values, thin), thin, ALPHA, config)
+        assert fit.n_restarts_used == 1
         assert abs(fit.kappa_hat - 0.5) < 1e-8
+        # a non-positive value leaves no closed-form start: the 3x3 grid runs
+        values = values * rng.uniform(0.9, 1.1, values.shape)
+        values[2, 2] = -values[2, 2]
+        fit = minimize_contrast(zfield(values, thin), thin, ALPHA, config)
+        assert fit.n_restarts_used == 9
+        assert fit.converged
+        # a closed-form start that ends non-stationary adds the grid to it
+        values[2, 2] = -values[2, 2]
+        fit = minimize_contrast(zfield(values, thin), thin, ALPHA,
+                                ContrastConfig(init_grid=3, max_iter=0))
+        assert fit.n_restarts_used == 1 + 9
+        assert not fit.converged
 
     def test_reported_contrast_is_minimum_over_starts(self, rng):
         # re-run the objective at every grid start: no start beats the fit
@@ -191,6 +244,7 @@ class TestMinimize:
         z = zfield(values, thin)
         config = ContrastConfig()
         fit = minimize_contrast(z, thin, ALPHA, config)
+        assert fit.converged
         for k0 in np.linspace(*config.kappa_box, config.init_grid):
             for e0 in np.linspace(*config.eta_box, config.init_grid):
                 s0 = profile_scale(z, thin, k0, e0, ALPHA, config.scale_box)

@@ -83,6 +83,23 @@ class TestConfig:
         stripped = "\n".join(line.split("//")[0] for line in block.splitlines())
         assert json.loads(stripped) == default_config().to_dict()
 
+    @pytest.mark.parametrize("key,value", [("grid.N", 10.7),
+                                           ("replications", 2.9),
+                                           ("truncation.K", True),
+                                           ("params.sigma", False)])
+    def test_inexact_numbers_rejected(self, key, value):
+        # a fraction for an integer, or a boolean for a number, used to be
+        # truncated or read as 0/1 silently
+        d = value
+        for part in reversed(key.split(".")):
+            d = {part: d}
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            ExperimentConfig.from_dict(d)
+
+    def test_integral_float_accepted(self):
+        cfg = ExperimentConfig.from_dict({"grid": {"N": 10.0}})
+        assert cfg.grid.N == 10 and isinstance(cfg.grid.N, int)
+
     def test_invalid_values_raise_config_error(self):
         d = dict(SMALL)
         d["params"] = dict(SMALL["params"], alpha=1.5)
@@ -272,6 +289,20 @@ class TestFieldIo:
         assert np.array_equal(back.values, field.values)
         assert back.grid == field.grid
         assert back.provenance == field.provenance
+
+    @pytest.mark.parametrize("cut", [-8, -3, 24])
+    def test_truncated_or_padded_dump_rejected(self, reference_params,
+                                               tmp_path, cut):
+        field = simulate_field(reference_params, NoiseKind.Q1,
+                               SpaceTimeGrid(N=2, M1=3, M2=3),
+                               TruncationSpec(K=2, L=2), seed=RngSeed(9))
+        path = tmp_path / "f.bin"
+        fieldio.write_field(field, str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+        with pytest.raises(ConfigError,
+                           match="truncated" if cut < 0 else "padded"):
+            fieldio.read_field(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"

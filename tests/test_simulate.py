@@ -115,6 +115,17 @@ class TestCoordinatePaths:
         se = target * math.sqrt(2.0 / (reps - 1))
         assert abs(x1.var(ddof=1) - target) < 3 * se
 
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_nonpositive_reps_rejected(self, reference_params, reps):
+        grid = SpaceTimeGrid(N=2, M1=2, M2=2)
+        trunc = TruncationSpec(K=2, L=2)
+        with pytest.raises(ConfigError, match="reps must be >= 1"):
+            simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
+                                      trunc, seed=SEED, reps=reps)
+        with pytest.raises(ConfigError, match="reps must be >= 1"):
+            simulate_point_values(reference_params, NoiseKind.Q1, grid, trunc,
+                                  [(0.5, 0.5)], seed=SEED, reps=reps)
+
     def test_initial_mode_outside_truncation_rejected(self, reference_params):
         init = InitialCondition({Mode(5, 1): 1.0})
         with pytest.raises(ConfigError):
