@@ -1,45 +1,26 @@
-import numpy
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
 
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    cythonize = None
-
 
 class optional_build_ext(build_ext):
-    """Build the compiled kernels if possible; the package falls back to the
-    pure-NumPy backend when compilation is unavailable."""
+    """Build the compiled Philox words if possible; the package falls back to
+    the NumPy words when compilation is unavailable."""
 
     def run(self):
         try:
             super().run()
         except Exception as exc:  # compiler missing, etc.
-            print(f"warning: skipping compiled kernels ({exc}); "
-                  "spde2d will use the pure-Python backend")
+            print(f"warning: skipping compiled Philox ({exc}); "
+                  "spde2d will use the NumPy backend")
 
     def build_extension(self, ext):
         try:
             super().build_extension(ext)
         except Exception as exc:
             print(f"warning: failed to build {ext.name} ({exc}); "
-                  "spde2d will use the pure-Python backend")
+                  "spde2d will use the NumPy backend")
 
 
-if cythonize is not None:
-    extensions = cythonize(
-        [
-            Extension(
-                "spde2d._kernels_c",
-                ["src/spde2d/_kernels_c.pyx"],
-                include_dirs=[numpy.get_include()],
-                extra_compile_args=["-O3"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-else:
-    extensions = []
-
-setup(ext_modules=extensions, cmdclass={"build_ext": optional_build_ext})
+setup(ext_modules=[Extension("spde2d._philox", ["src/spde2d/_philox.c"],
+                             extra_compile_args=["-O3"])],
+      cmdclass={"build_ext": optional_build_ext})

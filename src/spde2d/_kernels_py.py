@@ -1,7 +1,8 @@
-"""Pure-NumPy backend for the hot kernels.
+"""The NumPy kernels, and the reference for the compiled Philox words.
 
-Semantics here are the reference: the compiled backend in ``_kernels_c``
-must reproduce every output bit-for-bit.  All noise derives from the
+Semantics here are the reference: the compiled ``_philox`` must reproduce
+``philox_raw_block`` bit for bit; everything else runs here on both
+backends (see ``kernels``).  All noise derives from the
 Philox4x64-10 counter-based generator.  A logical stream is addressed by
 
     key     = (key0, key1[s])          two 64-bit words
@@ -79,11 +80,15 @@ def philox_raw_block(block, ctr2, ctr3, key0, key1):
     return out
 
 
-def normal_block(block, ctr2, ctr3, key0, key1):
-    """Four standard normals per stream for one counter block, (n, 4)."""
-    raw = philox_raw_block(block, ctr2, ctr3, key0, key1)
+def normals(raw):
+    """Standard normals from raw Philox words by the inverse-CDF map."""
     u = ((raw >> _SH11).astype(np.float64) + 0.5) * _U53
     return ndtri(u)
+
+
+def normal_block(block, ctr2, ctr3, key0, key1):
+    """Four standard normals per stream for one counter block, (n, 4)."""
+    return normals(philox_raw_block(block, ctr2, ctr3, key0, key1))
 
 
 def ou_step(x, decay, scale, noise):

@@ -47,8 +47,11 @@ def read_field(path: str) -> FieldSample:
         magic = fh.read(8)
         if magic != MAGIC:
             raise ConfigError(f"{path} is not a field dump (bad magic {magic!r})")
-        header = np.frombuffer(fh.read(16), dtype="<u4")
-        version, n, m1, m2 = (int(v) for v in header)
+        header = fh.read(16)
+        if len(header) != 16:
+            raise ConfigError(f"{path} is truncated (header of 16 bytes "
+                              f"expected after the magic)")
+        version, n, m1, m2 = (int(v) for v in np.frombuffer(header, "<u4"))
         if version != VERSION:
             raise ConfigError(f"unsupported field dump version {version}")
         count = (n + 1) * (m1 + 1) * (m2 + 1)

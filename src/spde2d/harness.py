@@ -103,8 +103,9 @@ class ExperimentConfig:
 
 def _merge(default, value, where: str):
     """``value`` over ``default``, coerced to the type of the default: a
-    list default gives a tuple, a null default a float or null.  A value
-    that the coercion would change, or a boolean, is refused."""
+    list default gives a tuple of as many elements, each coerced like its
+    default element, and a null default a float or null.  A value that the
+    coercion would change, or a boolean, is refused."""
     if isinstance(default, dict):
         if not isinstance(value, dict):
             what = f"section {where[:-1]!r}" if where else "file"
@@ -117,9 +118,12 @@ def _merge(default, value, where: str):
         return {key: _merge(dv, value.get(key, dv), f"{where}{key}.")
                 for key, dv in default.items()}
     if default is None:
-        return None if value is None else float(value)
+        return None if value is None else _merge(0.0, value, where)
     if isinstance(default, list):
-        return tuple(value)
+        if not isinstance(value, (list, tuple)) or len(value) != len(default):
+            raise ConfigError(f"configuration key {where[:-1]!r} must be a "
+                              f"list of {len(default)}, got {value!r}")
+        return tuple(_merge(d, v, where) for d, v in zip(default, value))
     if isinstance(default, str):
         return value
     coerced = type(default)(value)

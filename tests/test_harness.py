@@ -1,6 +1,7 @@
 """Experiment harness: configuration, replication pipeline, summaries,
 cross sections, and the command-line interface."""
 
+import hashlib
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from spde2d import fieldio
+from spde2d import _kernels_py, fieldio, kernels
 from spde2d.cli import main as cli_main
 from spde2d.errors import ConfigError, GridMismatchError
 from spde2d.harness import (ExperimentConfig, cross_section_dump,
@@ -83,13 +84,15 @@ class TestConfig:
         stripped = "\n".join(line.split("//")[0] for line in block.splitlines())
         assert json.loads(stripped) == default_config().to_dict()
 
-    @pytest.mark.parametrize("key,value", [("grid.N", 10.7),
-                                           ("replications", 2.9),
-                                           ("truncation.K", True),
-                                           ("params.sigma", False)])
+    @pytest.mark.parametrize("key,value", [
+        ("grid.N", 10.7), ("replications", 2.9), ("truncation.K", True),
+        ("params.sigma", False), ("params.mu0", True),
+        ("contrast.scale_box", [True, 5]),
+        ("contrast.scale_box", [1e-3, 1e3, 7]),
+        ("contrast.scale_box", [1e-3]), ("contrast.kappa_box", -20.0)])
     def test_inexact_numbers_rejected(self, key, value):
-        # a fraction for an integer, or a boolean for a number, used to be
-        # truncated or read as 0/1 silently
+        # a fraction for an integer, a boolean for a number, or a list of
+        # another length used to be truncated, read as 0/1 or passed on
         d = value
         for part in reversed(key.split(".")):
             d = {part: d}
@@ -290,7 +293,10 @@ class TestFieldIo:
         assert back.grid == field.grid
         assert back.provenance == field.provenance
 
-    @pytest.mark.parametrize("cut", [-8, -3, 24])
+    # cut < 0 drops bytes from the end, cut > 0 appends zero bytes; the
+    # dump holds 16 header bytes after the magic and 48 values, so -395
+    # and -392 end inside the header, after 5 and 8 of its bytes
+    @pytest.mark.parametrize("cut", [-8, -3, 24, -395, -392])
     def test_truncated_or_padded_dump_rejected(self, reference_params,
                                                tmp_path, cut):
         field = simulate_field(reference_params, NoiseKind.Q1,
@@ -299,6 +305,7 @@ class TestFieldIo:
         path = tmp_path / "f.bin"
         fieldio.write_field(field, str(path))
         data = path.read_bytes()
+        assert len(data) == 8 + 16 + 8 * 48
         path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
         with pytest.raises(ConfigError,
                            match="truncated" if cut < 0 else "padded"):
@@ -384,38 +391,38 @@ class TestCli:
                          str(tmp_path / "absent.bin")]) == 1
 
 
-class TestBackendSelection:
-    def test_pure_python_env_forces_fallback(self):
-        import subprocess
-        import sys
-        code = "import spde2d.kernels as k; print(k.BACKEND)"
-        env = dict(os.environ, SPDE2D_PURE_PYTHON="1")
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == "python"
+class TestPhiloxPaths:
+    """The NumPy and the compiled Philox words drive the same pipeline."""
 
-    def test_fallback_replication_matches_compiled(self, small_config):
-        # the whole pipeline is bit-identical across backends
-        pytest.importorskip("spde2d._kernels_c")
-        import pickle
-        import subprocess
-        import sys
-        code = (
-            "import pickle, sys\n"
-            "from spde2d.harness import ExperimentConfig, run_replication\n"
-            "cfg = ExperimentConfig.from_dict(pickle.load(sys.stdin.buffer))\n"
-            "rec = run_replication(cfg, 0)\n"
-            "pickle.dump((rec.fit, rec.qv11, rec.qv12,\n"
-            "             rec.estimates), sys.stdout.buffer)\n"
-        )
-        results = {}
-        for flag in ("0", "1"):
-            env = dict(os.environ, SPDE2D_PURE_PYTHON=flag)
-            out = subprocess.run([sys.executable, "-c", code], env=env,
-                                 input=pickle.dumps(SMALL),
-                                 capture_output=True, check=True)
-            results[flag] = pickle.loads(out.stdout)
-        assert results["0"] == results["1"]
+    # sha256 of perfbench's tiny noise configuration (perfbench/reference.json)
+    WORDS_SHA = ("8200245472b5354800427bf9fab3c1bff6345dcc9e0b430140de29d7"
+                 "cdf0cabe")
+    NORMALS_SHA = ("548c909f6a1466d2b011cd508b7d4644bcc70cc14129562ebd16e1ea"
+                   "43cc5499")
+
+    def test_noise_digests(self, philox_words, monkeypatch):
+        monkeypatch.setattr(kernels, "philox_raw_block", philox_words)
+        c2 = np.repeat(np.arange(1, 4, dtype=np.uint64), 4)
+        c3 = np.tile(np.arange(1, 5, dtype=np.uint64), 3)
+        key1 = np.full(12, np.uint64(7), dtype=np.uint64)
+        raw = kernels.philox_raw_block(3, c2, c3, 20220121, key1)
+        z = kernels.normal_block(3, c2, c3, 20220121, key1)
+        assert hashlib.sha256(raw.tobytes()).hexdigest() == self.WORDS_SHA
+        assert hashlib.sha256(z.tobytes()).hexdigest() == self.NORMALS_SHA
+
+    def test_replication_equal_under_compiled_words(self, small_config,
+                                                    compiled_philox,
+                                                    monkeypatch):
+        def outputs():
+            rec = run_replication(small_config, 0)
+            return rec.fit, rec.qv11, rec.qv12, rec.estimates
+
+        monkeypatch.setattr(kernels, "philox_raw_block",
+                            _kernels_py.philox_raw_block)
+        reference = outputs()
+        monkeypatch.setattr(kernels, "philox_raw_block",
+                            kernels.compiled(compiled_philox))
+        assert outputs() == reference
 
 
 def test_estimate_covariance_flag(tmp_path):
