@@ -25,8 +25,7 @@ from .reconstruct import (ApproxCoordinatePath, TimeThinning,
                           VolatilityEstimate, approx_coordinate,
                           build_time_thinning, realized_qv)
 from .simulate import (FieldSample, InitialCondition, RngSeed, SpaceTimeGrid,
-                       TruncationSpec, ou_transition,
-                       simulate_coordinate_paths, simulate_field,
-                       simulate_point_values, synthesize_field)
+                       TruncationSpec, simulate_coordinate_paths,
+                       simulate_field, simulate_point_values)
 
 __version__ = "0.1.0"

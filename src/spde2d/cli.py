@@ -28,21 +28,28 @@ from .increments import (asymptotic_mean, expected_squared_increment_oracle)
 from .simulate import simulate_field
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--config", help="experiment configuration JSON "
-                   "(defaults to the desk-scale configuration)")
-    p.add_argument("--seed", type=int, help="override the master seed")
-    p.add_argument("--replications", type=int, help="override the "
-                   "replication count")
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for Monte Carlo (default 1)")
+_OPTIONS = {
+    "config": dict(help="experiment configuration JSON (defaults to the "
+                   "desk-scale configuration)"),
+    "seed": dict(type=int, help="override the master seed"),
+    "replications": dict(type=int, help="override the replication count"),
+    "threads": dict(type=int, default=1,
+                    help="worker processes for Monte Carlo (default 1)"),
+}
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str):
+    """Give subcommand ``p`` the shared options ``names`` and ``--out-dir``;
+    a subcommand takes only the options it reads."""
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
     p.add_argument("--out-dir", default=".", help="output directory")
 
 
 def _load(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else default_config()
     overrides = config.to_dict()
-    if args.seed is not None:
+    if getattr(args, "seed", None) is not None:
         overrides["seed"] = args.seed
     if getattr(args, "replications", None) is not None:
         overrides["replications"] = args.replications
@@ -160,13 +167,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate one field and dump it")
-    _add_common(p)
+    _add_options(p, "config", "seed")
     p.add_argument("--rep", type=int, default=0, help="replication index")
     p.add_argument("--name", default="field.bin", help="dump file name")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("estimate", help="estimate from a stored field dump")
-    _add_common(p)
+    _add_options(p, "config")
     p.add_argument("--field", required=True, help="path to a field dump")
     p.add_argument("--covariance", action="store_true",
                    help="attach the asymptotic covariance evaluated at the "
@@ -174,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("mc", help="Monte Carlo summary over replications")
-    _add_common(p)
+    _add_options(p, "config", "seed", "replications", "threads")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("oracle", help="expected squared-increment table")
-    _add_common(p)
+    _add_options(p, "config")
     p.add_argument("--y", type=float, default=0.5)
     p.add_argument("--z", type=float, default=0.5)
     p.add_argument("--i", help="comma-separated increment indices "
@@ -186,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("cross-section", help="slice a stored field dump")
-    _add_common(p)
+    _add_options(p)
     p.add_argument("--field", required=True, help="path to a field dump")
     p.add_argument("--axis", required=True, choices=["t", "y", "z"])
     p.add_argument("--level", required=True, type=float)

@@ -21,18 +21,22 @@ from .errors import ConfigError, GridMismatchError
 from .increments import SpaceThinning, SquaredIncrementField
 from .model import contrast_coefficient
 
+# Newton steps per run, relative stationarity tolerance behind ``converged``,
+# and the step length that ends a run.
+MAX_ITER = 200
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ContrastConfig:
-    """Search box (the compact parameter set) and optimizer knobs."""
+    """Search box (the compact parameter set) and the size of the fallback
+    grid of starts."""
 
     scale_box: tuple[float, float] = (1e-3, 1e3)
     kappa_box: tuple[float, float] = (-20.0, 20.0)
     eta_box: tuple[float, float] = (-20.0, 20.0)
     init_grid: int = 5
-    max_iter: int = 200
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.scale_box[0] < self.scale_box[1]):
@@ -158,7 +162,7 @@ def minimize_contrast(zfield: SquaredIncrementField, thin: SpaceThinning,
     non-stationary; ``n_restarts_used`` counts every start run.  Ties in
     the final contrast (within 1e-12) break toward the smallest
     (kappa, eta) in lexicographic order.  ``converged`` requires a
-    projected gradient norm of at most ``grad_tol * (sum Z^2 + contrast)``,
+    projected gradient norm of at most ``GRAD_TOL * (sum Z^2 + contrast)``,
     the size of its terms, and at least 3 interior points (with fewer the
     three parameters are not identifiable).
     """
@@ -184,11 +188,11 @@ def minimize_contrast(zfield: SquaredIncrementField, thin: SpaceThinning,
         the contrast decreases, or stays flat to rounding while the
         projected gradient shrinks: near the optimum only the gradient
         discriminates.  Stops when stationary, on a step of at most
-        ``step_tol``, on no acceptable step or after ``max_iter`` steps."""
+        ``STEP_TOL``, on no acceptable step or after ``MAX_ITER`` steps."""
         x = np.clip(x, lo, hi)
         s, val, grad, free, gnorm = evaluate(x)
-        for _ in range(config.max_iter):
-            if gnorm <= config.grad_tol * (zz + val):
+        for _ in range(MAX_ITER):
+            if gnorm <= GRAD_TOL * (zz + val):
                 break
             lam, vec = np.linalg.eigh(_profiled_hessian(
                 zfield, thin, s, float(x[0]), float(x[1]), alpha,
@@ -210,10 +214,10 @@ def minimize_contrast(zfield: SquaredIncrementField, thin: SpaceThinning,
                 break
             moved = float(np.linalg.norm(cand - x))
             x, (s, val, grad, free, gnorm) = cand, new
-            if moved <= config.step_tol:
+            if moved <= STEP_TOL:
                 break
         return (val, float(x[0]), float(x[1]), s,
-                gnorm <= config.grad_tol * (zz + val))
+                gnorm <= GRAD_TOL * (zz + val))
 
     start = _log_linear_start(zfield, thin)
     runs = [] if start is None else [newton(start)]

@@ -36,7 +36,7 @@ def write_field(field: FieldSample, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(header.tobytes())
-        fh.write(np.ascontiguousarray(field.values, dtype="<f8").tobytes())
+        np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
     with open(_meta_path(path), "w") as fh:
         json.dump(field.provenance, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -55,13 +55,15 @@ def read_field(path: str) -> FieldSample:
         if version != VERSION:
             raise ConfigError(f"unsupported field dump version {version}")
         count = (n + 1) * (m1 + 1) * (m2 + 1)
-        raw = fh.read(8 * count + 1)
-        if len(raw) != 8 * count:
-            what = "truncated" if len(raw) < 8 * count else "padded"
+        size = os.fstat(fh.fileno()).st_size
+        if size != 24 + 8 * count:
+            what = "truncated" if size < 24 + 8 * count else "padded"
             raise ConfigError(f"{path} is {what} ({count} values expected)")
-        data = np.frombuffer(raw, dtype="<f8")
-    grid = SpaceTimeGrid(N=n, M1=m1, M2=m2)
-    values = data.astype(np.float64).reshape(n + 1, m1 + 1, m2 + 1)
+        grid = SpaceTimeGrid(N=n, M1=m1, M2=m2)
+        data = np.empty((n + 1, m1 + 1, m2 + 1), dtype="<f8")
+        if fh.readinto(data) != 8 * count:
+            raise ConfigError(f"{path} is truncated ({count} values expected)")
+    values = data.astype(np.float64, copy=False)
     provenance = {}
     if os.path.exists(_meta_path(path)):
         with open(_meta_path(path)) as fh:

@@ -41,7 +41,6 @@ class ThinningConfig:
 class Exponents:
     """Rate exponents used only for the reported diagnostic ratios."""
 
-    rho: float = 0.47
     gamma: float = 0.26
     epsilon: float = 0.499
 

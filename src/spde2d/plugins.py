@@ -151,11 +151,10 @@ class CovarianceMatrix:
     labels: tuple[str, ...]
 
 
-def covariance_J(params: ModelParams, alpha: float | None = None
-                 ) -> CovarianceMatrix:
+def covariance_J(params: ModelParams) -> CovarianceMatrix:
     """5x5 covariance of the Q1 estimators, order (theta0, theta1, eta1,
     theta2, sigma^2); rank <= 2."""
-    a = params.alpha if alpha is None else alpha
+    a = params.alpha
     lam11 = eigenvalue(Mode(1, 1), params)
     lam12 = eigenvalue(Mode(1, 2), params)
     t0 = params.theta0
@@ -177,11 +176,10 @@ def covariance_J(params: ModelParams, alpha: float | None = None
                                     "sigma2"))
 
 
-def covariance_K(params: ModelParams, alpha: float | None = None
-                 ) -> CovarianceMatrix:
+def covariance_K(params: ModelParams) -> CovarianceMatrix:
     """4x4 covariance of the Q2 known-shift estimators, order (theta1,
     eta1, theta2, sigma^2); rank 1."""
-    a = params.alpha if alpha is None else alpha
+    a = params.alpha
     nu = np.array([params.theta1, params.eta1, params.theta2,
                    (1.0 - a) * params.sigma ** 2])
     entries = (2.0 / (1.0 - a) ** 2) * np.outer(nu, nu)
@@ -189,11 +187,10 @@ def covariance_K(params: ModelParams, alpha: float | None = None
                             labels=("theta1", "eta1", "theta2", "sigma2"))
 
 
-def covariance_L(params: ModelParams, alpha: float | None = None
-                 ) -> CovarianceMatrix:
+def covariance_L(params: ModelParams) -> CovarianceMatrix:
     """5x5 covariance of the Q2 unknown-shift estimators, order (mu0,
     theta1, eta1, theta2, sigma^2); rank <= 2."""
-    a = params.alpha if alpha is None else alpha
+    a = params.alpha
     mu0 = params.require_mu0()
     mu11 = mu_value(Mode(1, 1), mu0)
     mu12 = mu_value(Mode(1, 2), mu0)

@@ -11,6 +11,7 @@ not change when the cutoff grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
 
@@ -20,7 +21,7 @@ from . import kernels
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError
 from .model import Mode, ModelParams, NoiseKind, sinpi
 
-DEFAULT_MEMORY_BUDGET = 4 << 30  # bytes
+MEMORY_BUDGET = 4 << 30  # bytes of observed values one call may hold
 
 _UINT64_MAX = 2 ** 64 - 1
 
@@ -127,23 +128,6 @@ class FieldSample:
                 f"field shape {self.values.shape} does not match grid {expected}")
 
 
-def ou_transition(x_prev, lam, gamma, dt, noise):
-    """One exact Ornstein-Uhlenbeck transition.
-
-    Returns ``exp(-lam dt) x_prev + gamma sqrt((1 - exp(-2 lam dt)) / (2 lam))
-    * noise``, the conditional law of the process with mean-reversion rate
-    ``lam`` and noise amplitude ``gamma`` over a step of length ``dt``, with
-    the coefficients the simulator uses.
-    """
-    if not np.all(np.asarray(lam) > 0):
-        raise ConfigError("lam must be positive")
-    if not dt > 0:
-        raise ConfigError("dt must be positive")
-    decay, scale = _transition_coeffs(np.asarray(lam, dtype=np.float64),
-                                      gamma, dt)
-    return decay * x_prev + scale * noise
-
-
 def _modes(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.float64)
 
@@ -189,13 +173,6 @@ def _stream_words(trunc: TruncationSpec):
     return c2, c3
 
 
-def _check_budget(nbytes: int, budget: int, what: str):
-    if nbytes > budget:
-        raise MemoryBudgetError(
-            f"{what} needs {nbytes} bytes, exceeding the budget of {budget}; "
-            "raise memory_budget_bytes or shrink the request")
-
-
 def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
            trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
            reps: range) -> Iterator[np.ndarray]:
@@ -231,52 +208,35 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
         yield state
 
 
-def _rep_chunks(first_rep: int, n_reps: int,
-                trunc: TruncationSpec) -> list[range]:
-    """Consecutive replication ranges of about 2M noise streams at most,
-    which bounds the working memory of one sweep."""
+def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
+             trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
+             first_rep: int, n_reps: int, shape: tuple, project,
+             what: str) -> np.ndarray:
+    """``project(state)`` at t_0, ..., t_N for replications ``first_rep ..
+    first_rep+n_reps-1``, shape ``(n_reps, N+1, *shape)``.
+
+    ``project`` maps the ``(reps, K*L)`` sweep state of a chunk of
+    replications to values that broadcast to ``(reps, *shape)``.  The
+    request is checked against ``MEMORY_BUDGET`` before anything is
+    allocated, and chunks of at most about 2M noise streams bound the
+    working memory of a sweep.
+    """
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
+    nbytes = 8 * n_reps * (grid.N + 1) * math.prod(shape)
+    if nbytes > MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{what} needs {nbytes} bytes, exceeding the budget of "
+            f"{MEMORY_BUDGET}; shrink the request")
+    out = np.empty((n_reps, grid.N + 1, *shape), dtype=np.float64)
     chunk = max(1, (1 << 21) // trunc.n_modes)
-    stop = first_rep + n_reps
-    return [range(r0, min(r0 + chunk, stop))
-            for r0 in range(first_rep, stop, chunk)]
-
-
-def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
-                              grid: SpaceTimeGrid, trunc: TruncationSpec,
-                              init: InitialCondition = ZERO_INITIAL,
-                              seed: RngSeed = RngSeed(0), *,
-                              reps: int | None = None, first_rep: int = 0,
-                              memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-                              ) -> np.ndarray:
-    """Exact coordinate-process paths at every observation time.
-
-    Returns ``(K, L, N+1)`` for ``reps=None``; with an integer ``reps`` the
-    leading axis enumerates replications ``first_rep .. first_rep+reps-1``
-    and the shape is ``(reps, K, L, N+1)``.
-    """
-    n_reps = 1 if reps is None else reps
-    chunks = _rep_chunks(first_rep, n_reps, trunc)
-    nbytes = 8 * n_reps * trunc.n_modes * (grid.N + 1)
-    _check_budget(nbytes, memory_budget_bytes, "coordinate path storage")
-    out = np.empty((n_reps, trunc.K, trunc.L, grid.N + 1), dtype=np.float64)
-    for chunk in chunks:
-        rows = out[chunk.start - first_rep:chunk.stop - first_rep]
+    for r0 in range(0, n_reps, chunk):
+        rows = out[r0:r0 + chunk]
+        reps = range(first_rep + r0, first_rep + r0 + len(rows))
         for i, x in enumerate(_sweep(params, kind, grid, trunc, init, seed,
-                                     chunk)):
-            rows[..., i] = x.reshape(len(chunk), trunc.K, trunc.L)
-    if reps is None:
-        return out[0]
+                                     reps)):
+            rows[:, i] = project(x)
     return out
-
-
-def _lattice_tables(params: ModelParams, trunc: TruncationSpec,
-                    grid: SpaceTimeGrid):
-    """Factor tables of the lattice projection ``ey^T @ state @ ez``."""
-    ey = _factor_table(_modes(trunc.K), grid.ys(), params.kappa)
-    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
-    return np.ascontiguousarray(ey.T), ez
 
 
 def _provenance(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec,
@@ -294,41 +254,43 @@ def _provenance(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec,
     }
 
 
-def synthesize_field(paths: np.ndarray, grid: SpaceTimeGrid,
-                     params: ModelParams, trunc: TruncationSpec,
-                     provenance: dict | None = None) -> FieldSample:
-    """Assemble the truncated series field from stored coordinate paths."""
-    expected = (trunc.K, trunc.L, grid.N + 1)
-    if paths.shape != expected:
-        raise GridMismatchError(
-            f"paths shape {paths.shape} does not match truncation/grid {expected}")
-    eyT, ez = _lattice_tables(params, trunc, grid)
-    values = np.empty((grid.N + 1, grid.M1 + 1, grid.M2 + 1), dtype=np.float64)
-    for i in range(grid.N + 1):
-        values[i] = eyT @ np.ascontiguousarray(paths[:, :, i]) @ ez
-    return FieldSample(values=values, grid=grid,
-                       provenance=provenance if provenance is not None else {})
+def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
+                              grid: SpaceTimeGrid, trunc: TruncationSpec,
+                              init: InitialCondition = ZERO_INITIAL,
+                              seed: RngSeed = RngSeed(0), *,
+                              reps: int | None = None, first_rep: int = 0
+                              ) -> np.ndarray:
+    """Exact coordinate-process paths at every observation time.
+
+    Returns ``(K, L, N+1)`` for ``reps=None``; with an integer ``reps`` the
+    leading axis enumerates replications ``first_rep .. first_rep+reps-1``
+    and the shape is ``(reps, K, L, N+1)``.
+    """
+    shape = (trunc.K, trunc.L)
+    out = _observe(params, kind, grid, trunc, init, seed, first_rep,
+                   1 if reps is None else reps, shape,
+                   lambda x: x.reshape(-1, *shape), "coordinate path storage")
+    out = np.moveaxis(out, 1, -1)
+    return out[0] if reps is None else out
 
 
 def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
                    trunc: TruncationSpec, init: InitialCondition = ZERO_INITIAL,
-                   seed: RngSeed = RngSeed(0), *, rep: int = 0,
-                   memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-                   ) -> FieldSample:
+                   seed: RngSeed = RngSeed(0), *, rep: int = 0) -> FieldSample:
     """Simulate the field on the full lattice, streaming over time slices.
 
     Only the current (K, L) mode state is held in memory; the mode-path
-    matrix is never materialized.  Equivalent, bit for bit, to
-    ``synthesize_field(simulate_coordinate_paths(...))``.
+    matrix is never materialized.  Slice ``i`` is ``ey^T @ x_i @ ez`` with
+    the eigenfunction factor tables ``ey`` and ``ez`` of the lattice.
     """
-    nbytes = 8 * (grid.N + 1) * (grid.M1 + 1) * (grid.M2 + 1)
-    _check_budget(nbytes, memory_budget_bytes, "field sample")
-    eyT, ez = _lattice_tables(params, trunc, grid)
-    values = np.empty((grid.N + 1, grid.M1 + 1, grid.M2 + 1), dtype=np.float64)
-    states = _sweep(params, kind, grid, trunc, init, seed, range(rep, rep + 1))
-    for i, x in enumerate(states):
-        values[i] = eyT @ x.reshape(trunc.K, trunc.L) @ ez
-    return FieldSample(values=values, grid=grid,
+    eyT = np.ascontiguousarray(
+        _factor_table(_modes(trunc.K), grid.ys(), params.kappa).T)
+    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
+    values = _observe(params, kind, grid, trunc, init, seed, rep, 1,
+                      (grid.M1 + 1, grid.M2 + 1),
+                      lambda x: eyT @ x.reshape(trunc.K, trunc.L) @ ez,
+                      "field sample")
+    return FieldSample(values=values[0], grid=grid,
                        provenance=_provenance(params, kind, trunc, seed, rep))
 
 
@@ -336,9 +298,7 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
                           grid: SpaceTimeGrid, trunc: TruncationSpec,
                           points: Sequence[tuple[float, float]],
                           seed: RngSeed = RngSeed(0), *, reps: int = 1,
-                          first_rep: int = 0,
-                          memory_budget_bytes: int = DEFAULT_MEMORY_BUDGET
-                          ) -> np.ndarray:
+                          first_rep: int = 0) -> np.ndarray:
     """Field values at selected space points, batched over replications.
 
     Returns ``(reps, N+1, len(points))``.  Replication ``r`` reproduces the
@@ -350,18 +310,11 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     pts = [(float(y), float(z)) for (y, z) in points]
     if not pts:
         raise ConfigError("points must be non-empty")
-    chunks = _rep_chunks(first_rep, reps, trunc)
-    out = np.empty((reps, grid.N + 1, len(pts)), dtype=np.float64)
-    _check_budget(out.nbytes, memory_budget_bytes, "point-value storage")
-
     ys = np.array([p[0] for p in pts])
     zs = np.array([p[1] for p in pts])
     ek = _factor_table(_modes(trunc.K), ys, params.kappa)
     el = _factor_table(_modes(trunc.L), zs, params.eta)
     etab = (ek[:, None, :] * el[None, :, :]).reshape(-1, len(pts))
-    for chunk in chunks:
-        rows = out[chunk.start - first_rep:chunk.stop - first_rep]
-        for i, x in enumerate(_sweep(params, kind, grid, trunc, ZERO_INITIAL,
-                                     seed, chunk)):
-            rows[:, i, :] = x @ etab
-    return out
+    return _observe(params, kind, grid, trunc, ZERO_INITIAL, seed, first_rep,
+                    reps, (len(pts),), lambda x: x @ etab,
+                    "point-value storage")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from spde2d import contrast
 from spde2d.contrast import (ContrastConfig, _profiled_hessian,
                              contrast_gradient, contrast_value,
                              minimize_contrast, profile_scale)
@@ -216,7 +217,7 @@ class TestMinimize:
         assert abs(fit.kappa_hat - 1.0) < 0.15
         assert abs(fit.eta_hat - 1.0) < 0.15
 
-    def test_restart_count_honours_config(self, rng):
+    def test_restart_count_honours_config(self, rng, monkeypatch):
         thin = make_thinning()
         values = surface(thin, 2.0, 0.5, 0.5)
         config = ContrastConfig(init_grid=3)
@@ -231,8 +232,8 @@ class TestMinimize:
         assert fit.converged
         # a closed-form start that ends non-stationary adds the grid to it
         values[2, 2] = -values[2, 2]
-        fit = minimize_contrast(zfield(values, thin), thin, ALPHA,
-                                ContrastConfig(init_grid=3, max_iter=0))
+        monkeypatch.setattr(contrast, "MAX_ITER", 0)
+        fit = minimize_contrast(zfield(values, thin), thin, ALPHA, config)
         assert fit.n_restarts_used == 1 + 9
         assert not fit.converged
 

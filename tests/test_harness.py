@@ -61,7 +61,9 @@ class TestConfig:
             load_config(str(path))
 
     @pytest.mark.parametrize("key", ["replication", "grid.n",
-                                     "contrast.initgrid", "params.sigma2"])
+                                     "contrast.initgrid", "params.sigma2",
+                                     "contrast.max_iter", "contrast.grad_tol",
+                                     "contrast.step_tol", "exponents.rho"])
     def test_unknown_keys_rejected(self, key):
         d = 1
         for part in reversed(key.split(".")):
@@ -98,6 +100,12 @@ class TestConfig:
             d = {part: d}
         with pytest.raises(ConfigError, match=f"'{key}'"):
             ExperimentConfig.from_dict(d)
+
+    def test_settable_values(self):
+        def count(d):
+            return sum(count(v) if isinstance(v, dict) else 1
+                       for v in d.values())
+        assert count(default_config().to_dict()) == 25
 
     def test_integral_float_accepted(self):
         cfg = ExperimentConfig.from_dict({"grid": {"N": 10.0}})
@@ -295,8 +303,11 @@ class TestFieldIo:
 
     # cut < 0 drops bytes from the end, cut > 0 appends zero bytes; the
     # dump holds 16 header bytes after the magic and 48 values, so -395
-    # and -392 end inside the header, after 5 and 8 of its bytes
-    @pytest.mark.parametrize("cut", [-8, -3, 24, -395, -392])
+    # and -392 end inside the header, after 5 and 8 of its bytes.  "n=..."
+    # makes the header claim N = M1 = M2 = n instead: 2^32 - 1 values per
+    # axis used to overflow an index, 3000 to ask for 216 GB
+    @pytest.mark.parametrize("cut", [-8, -3, 24, -395, -392,
+                                     "n=4294967295", "n=3000"])
     def test_truncated_or_padded_dump_rejected(self, reference_params,
                                                tmp_path, cut):
         field = simulate_field(reference_params, NoiseKind.Q1,
@@ -306,9 +317,14 @@ class TestFieldIo:
         fieldio.write_field(field, str(path))
         data = path.read_bytes()
         assert len(data) == 8 + 16 + 8 * 48
-        path.write_bytes(data[:cut] if cut < 0 else data + b"\x00" * cut)
+        if isinstance(cut, str):
+            n = int(cut[2:])
+            data = data[:12] + np.array([n] * 3, "<u4").tobytes() + data[24:]
+        else:
+            data = data[:cut] if cut < 0 else data + b"\x00" * cut
+        path.write_bytes(data)
         with pytest.raises(ConfigError,
-                           match="truncated" if cut < 0 else "padded"):
+                           match="padded" if cut == 24 else "truncated"):
             fieldio.read_field(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -384,6 +400,18 @@ class TestCli:
         assert cli_main(["mc", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["cross-section", "--field", "f.bin", "--axis", "t", "--level", "0.5",
+         "--threads", "2"],
+        ["estimate", "--field", "f.bin", "--seed", "3"],
+        ["simulate", "--replications", "2"],
+        ["oracle", "--seed", "3"]])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_missing_field_exit_nonzero(self, tmp_path):
         cfg = self._write_config(tmp_path)

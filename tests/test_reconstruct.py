@@ -12,7 +12,7 @@ from spde2d.reconstruct import (ApproxCoordinatePath, approx_coordinate,
                                 build_time_thinning, realized_qv)
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
                              TruncationSpec, simulate_coordinate_paths,
-                             synthesize_field)
+                             simulate_field)
 
 SEED = RngSeed(555)
 
@@ -57,7 +57,8 @@ class TestApproxCoordinate:
         trunc = TruncationSpec(K=1, L=1)
         paths = simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
                                           trunc, seed=SEED)
-        field = synthesize_field(paths, grid, reference_params, trunc)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                               trunc, seed=SEED)
         tt = build_time_thinning(4, 4)
         rec = approx_coordinate(field, Mode(1, 1), reference_params.kappa,
                                 reference_params.eta, tt)
@@ -76,7 +77,8 @@ class TestApproxCoordinate:
             trunc = TruncationSpec(K=1, L=1)
             paths = simulate_coordinate_paths(reference_params, NoiseKind.Q1,
                                               grid, trunc, seed=SEED)
-            field = synthesize_field(paths, grid, reference_params, trunc)
+            field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                                   trunc, seed=SEED)
             tt = build_time_thinning(4, 4)
             rec = approx_coordinate(field, Mode(1, 1),
                                     reference_params.kappa + 0.2,
@@ -95,7 +97,8 @@ class TestApproxCoordinate:
         trunc = TruncationSpec(K=1, L=1)
         paths = simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
                                           trunc, seed=SEED)
-        field = synthesize_field(paths, grid, reference_params, trunc)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                               trunc, seed=SEED)
         tt = build_time_thinning(4, 4)
         rec = approx_coordinate(field, Mode(1, 1), reference_params.kappa + 0.1,
                                 reference_params.eta, tt)

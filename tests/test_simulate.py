@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,44 +10,11 @@ import pytest
 from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
 from spde2d.model import Mode, ModelParams, NoiseKind, eigenvalue
 from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
-                             SpaceTimeGrid, TruncationSpec, ou_transition,
+                             SpaceTimeGrid, TruncationSpec, _factor_table,
                              simulate_coordinate_paths, simulate_field,
-                             simulate_point_values, synthesize_field)
+                             simulate_point_values)
 
 SEED = RngSeed(314159)
-
-
-class TestOuTransition:
-    def test_deterministic_decay(self):
-        got = ou_transition(1.0, 1.0, 0.0, 1.0, 0.7)
-        assert got == pytest.approx(math.exp(-1.0), rel=1e-15)
-
-    def test_unit_shock_standard_deviation(self):
-        got = ou_transition(0.0, 1.0, 1.0, 1.0, 1.0)
-        assert got == pytest.approx(math.sqrt((1 - math.exp(-2.0)) / 2.0),
-                                    rel=1e-12)
-
-    def test_iterated_variance_reaches_stationary_level(self):
-        # One long path; the empirical variance approaches gamma^2/(2 lam).
-        # Samples are AR(1) with lag correlation rho = exp(-lam dt), which
-        # inflates the variance of the variance estimate accordingly.
-        lam, gamma, dt, n = 1.0, 1.0, 1.0, 100_000
-        rng = np.random.default_rng(11)
-        noise = rng.standard_normal(n)
-        x = np.empty(n + 1)
-        x[0] = 0.0
-        for i in range(n):
-            x[i + 1] = ou_transition(x[i], lam, gamma, dt, noise[i])
-        target = gamma ** 2 / (2 * lam)
-        rho = math.exp(-lam * dt)
-        se = target * math.sqrt(2.0 / n * (1 + rho ** 2) / (1 - rho ** 2))
-        assert abs(x[1:].var() - target) < 3 * se
-
-    def test_rejects_bad_rate_or_step(self):
-        with pytest.raises(ConfigError):
-            ou_transition(0.0, 0.0, 1.0, 1.0, 0.0)
-        with pytest.raises(ConfigError):
-            ou_transition(0.0, 1.0, 1.0, 0.0, 0.0)
 
 
 class TestCoordinatePaths:
@@ -134,12 +102,30 @@ class TestCoordinatePaths:
                                       TruncationSpec(K=2, L=2), init=init,
                                       seed=SEED)
 
-    def test_memory_budget_enforced(self, reference_params):
-        with pytest.raises(MemoryBudgetError):
-            simulate_coordinate_paths(reference_params, NoiseKind.Q1,
-                                      SpaceTimeGrid(N=100, M1=2, M2=2),
-                                      TruncationSpec(K=64, L=64), seed=SEED,
-                                      memory_budget_bytes=1 << 20)
+    # each request is over the 4 GiB budget: 8 bytes x 10^12 replications
+    # x 11 steps, or 1001^3 field values
+    @pytest.mark.parametrize("simulate", [
+        lambda p: simulate_coordinate_paths(
+            p, NoiseKind.Q1, SpaceTimeGrid(N=10, M1=2, M2=2),
+            TruncationSpec(K=1, L=1), seed=SEED, reps=10 ** 12),
+        lambda p: simulate_point_values(
+            p, NoiseKind.Q1, SpaceTimeGrid(N=10, M1=2, M2=2),
+            TruncationSpec(K=1, L=1), [(0.5, 0.5)], seed=SEED, reps=10 ** 12),
+        lambda p: simulate_field(
+            p, NoiseKind.Q1, SpaceTimeGrid(N=1000, M1=1000, M2=1000),
+            TruncationSpec(K=1, L=1), seed=SEED),
+    ], ids=["paths", "points", "field"])
+    def test_memory_budget_enforced(self, reference_params, simulate):
+        # refused before any allocation: no bare numpy MemoryError, and no
+        # list of replication chunks built first
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError, match="budget of 4294967296"):
+                simulate(reference_params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestNoiseContract:
@@ -186,7 +172,8 @@ class TestFieldSynthesis:
         trunc = TruncationSpec(K=1, L=1)
         paths = simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
                                           trunc, seed=SEED)
-        field = synthesize_field(paths, grid, reference_params, trunc)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
+                               seed=SEED)
         ys = grid.ys()
         zs = grid.zs()
         etab = eigenfunction(Mode(1, 1), ys[:, None], zs[None, :],
@@ -200,10 +187,17 @@ class TestFieldSynthesis:
         trunc = TruncationSpec(K=6, L=5)
         paths = simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
                                           trunc, seed=SEED)
-        via_paths = synthesize_field(paths, grid, reference_params, trunc)
+        # project the stored paths slice by slice with the simulator's
+        # factor tables; streaming must give the same bits
+        eyT = np.ascontiguousarray(_factor_table(
+            np.arange(1.0, trunc.K + 1), grid.ys(), reference_params.kappa).T)
+        ez = _factor_table(np.arange(1.0, trunc.L + 1), grid.zs(),
+                           reference_params.eta)
+        via_paths = np.stack([eyT @ np.ascontiguousarray(paths[:, :, i]) @ ez
+                              for i in range(grid.N + 1)])
         streamed = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
                                   seed=SEED)
-        assert np.array_equal(via_paths.values, streamed.values)
+        assert np.array_equal(via_paths, streamed.values)
 
     def test_boundary_exactly_zero(self, reference_params):
         field = simulate_field(reference_params, NoiseKind.Q1,
@@ -236,12 +230,6 @@ class TestFieldSynthesis:
         c = simulate_field(reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
                            rep=6)
         assert not np.array_equal(a.values, c.values)
-
-    def test_paths_shape_mismatch_rejected(self, reference_params):
-        grid = SpaceTimeGrid(N=4, M1=4, M2=4)
-        paths = np.zeros((2, 2, 5))
-        with pytest.raises(GridMismatchError):
-            synthesize_field(paths, grid, reference_params, TruncationSpec(K=3, L=3))
 
     def test_point_values_match_field(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=4, M2=4)
