@@ -21,27 +21,14 @@ from scipy.special import ndtri
 
 BACKEND_NAME = "python"
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = np.uint64(0x9E3779B97F4A7C15)
-_W1 = np.uint64(0xBB67AE8584CAA73B)
+_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_W = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
 _MASK32 = np.uint64(0xFFFFFFFF)
 _SH32 = np.uint64(32)
 _SH11 = np.uint64(11)
+_M_HI = _M >> _SH32
+_M_LO = _M & _MASK32
 _U53 = 2.0 ** -53
-
-
-def _mulhilo(a, b):
-    # full 64x64 -> 128 bit product via 32-bit partial products
-    lo = a * b
-    ah = a >> _SH32
-    al = a & _MASK32
-    bh = b >> _SH32
-    bl = b & _MASK32
-    t = ah * bl + ((al * bl) >> _SH32)
-    u = al * bh + (t & _MASK32)
-    hi = ah * bh + (t >> _SH32) + (u >> _SH32)
-    return hi, lo
 
 
 def philox_raw_block(block, ctr2, ctr3, key0, key1):
@@ -55,35 +42,51 @@ def philox_raw_block(block, ctr2, ctr3, key0, key1):
     ctr3 = np.ascontiguousarray(ctr3, dtype=np.uint64)
     key1 = np.ascontiguousarray(key1, dtype=np.uint64)
     n = ctr2.shape[0]
-    with np.errstate(over="ignore"):
-        x0 = np.full(n, np.uint64(block), dtype=np.uint64)
-        x1 = np.zeros(n, dtype=np.uint64)
-        x2 = ctr2.copy()
-        x3 = ctr3.copy()
-        k0 = np.full(n, np.uint64(key0), dtype=np.uint64)
-        k1 = key1.copy()
-        for r in range(10):
-            if r > 0:
-                k0 = k0 + _W0
-                k1 = k1 + _W1
-            hi0, lo0 = _mulhilo(_M0, x0)
-            hi1, lo1 = _mulhilo(_M1, x2)
-            x0 = hi1 ^ x1 ^ k0
-            x1 = lo1
-            x2 = hi0 ^ x3 ^ k1
-            x3 = lo0
+    # Rows 0 and 1 hold the words each round multiplies by M0 and by M1,
+    # so one ufunc call does both products: x = (x0, x2), y = (x1, x3),
+    # k = (k0, k1).
+    x, y, k, hi, lo, bh, bl, t = np.empty((8, 2, n), dtype=np.uint64)
+    x[0], x[1] = block, ctr2
+    y[0], y[1] = 0, ctr3
+    k[0], k[1] = key0, key1
+    for r in range(10):
+        if r > 0:
+            np.add(k, _W, out=k)
+        # full 64x64 -> 128 bit products M * x via 32-bit partial products
+        np.multiply(_M, x, out=lo)
+        np.right_shift(x, _SH32, out=bh)
+        np.bitwise_and(x, _MASK32, out=bl)
+        np.multiply(_M_LO, bl, out=t)
+        np.right_shift(t, _SH32, out=t)
+        np.multiply(_M_HI, bl, out=bl)
+        np.add(t, bl, out=t)                    # t = mh*bl + (ml*bl >> 32)
+        np.bitwise_and(t, _MASK32, out=bl)
+        np.multiply(_M_LO, bh, out=hi)
+        np.add(bl, hi, out=bl)                  # u = ml*bh + (t & mask)
+        np.right_shift(t, _SH32, out=t)
+        np.right_shift(bl, _SH32, out=bl)
+        np.multiply(_M_HI, bh, out=hi)
+        np.add(hi, t, out=hi)
+        np.add(hi, bl, out=hi)                  # hi = mh*bh + t>>32 + u>>32
+        # x0 <- hi1 ^ x1 ^ k0, x2 <- hi0 ^ x3 ^ k1; x1 <- lo1, x3 <- lo0
+        np.bitwise_xor(hi[::-1], y, out=x)
+        np.bitwise_xor(x, k, out=x)
+        y[:] = lo[::-1]
     out = np.empty((n, 4), dtype=np.uint64)
-    out[:, 0] = x0
-    out[:, 1] = x1
-    out[:, 2] = x2
-    out[:, 3] = x3
+    out[:, 0::2] = x.T
+    out[:, 1::2] = y.T
     return out
 
 
-def normals(raw):
-    """Standard normals from raw Philox words by the inverse-CDF map."""
-    u = ((raw >> _SH11).astype(np.float64) + 0.5) * _U53
-    return ndtri(u)
+def normals(raw, out=None):
+    """Standard normals from raw Philox words by the inverse-CDF map,
+    written to ``out`` (a float64 array of ``raw``'s shape) when given."""
+    if out is None:
+        out = np.empty(raw.shape)
+    np.right_shift(raw, _SH11, out=out)
+    np.add(out, 0.5, out=out)
+    np.multiply(out, _U53, out=out)
+    return ndtri(out, out=out)
 
 
 def normal_block(block, ctr2, ctr3, key0, key1):

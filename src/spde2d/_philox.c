@@ -43,16 +43,22 @@ static PyObject *fill(PyObject *self, PyObject *args)
             break;
     const uint64_t *c2 = buf[0].buf, *c3 = buf[1].buf, *k1 = buf[2].buf;
     uint64_t *out = buf[3].buf;
-    for (Py_ssize_t s = 0; got == 4 && s < n; s++) {
-        uint64_t x0 = block, x1 = 0, x2 = c2[s], x3 = c3[s], ka = key0, kb = k1[s];
-        for (int r = 0; r < 10; r++, ka += W0, kb += W1) {
-            unsigned __int128 p0 = (unsigned __int128)M0 * x0, p1 = (unsigned __int128)M1 * x2;
-            x0 = (uint64_t)(p1 >> 64) ^ x1 ^ ka;
-            x1 = (uint64_t)p1;
-            x2 = (uint64_t)(p0 >> 64) ^ x3 ^ kb;
-            x3 = (uint64_t)p0;
+    if (got == 4) {
+        /* The held buffers keep the memory alive; the loop touches no
+         * Python object, so other threads may run meanwhile. */
+        Py_BEGIN_ALLOW_THREADS
+        for (Py_ssize_t s = 0; s < n; s++) {
+            uint64_t x0 = block, x1 = 0, x2 = c2[s], x3 = c3[s], ka = key0, kb = k1[s];
+            for (int r = 0; r < 10; r++, ka += W0, kb += W1) {
+                unsigned __int128 p0 = (unsigned __int128)M0 * x0, p1 = (unsigned __int128)M1 * x2;
+                x0 = (uint64_t)(p1 >> 64) ^ x1 ^ ka;
+                x1 = (uint64_t)p1;
+                x2 = (uint64_t)(p0 >> 64) ^ x3 ^ kb;
+                x3 = (uint64_t)p0;
+            }
+            out[4 * s] = x0, out[4 * s + 1] = x1, out[4 * s + 2] = x2, out[4 * s + 3] = x3;
         }
-        out[4 * s] = x0, out[4 * s + 1] = x1, out[4 * s + 2] = x2, out[4 * s + 3] = x3;
+        Py_END_ALLOW_THREADS
     }
     for (int i = 0; i < got; i++)
         PyBuffer_Release(&buf[i]);

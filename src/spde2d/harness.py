@@ -18,6 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import kernels
 from .contrast import ContrastConfig, MinimumContrastFit, minimize_contrast
 from .errors import ConfigError, GridMismatchError
 from .increments import build_space_thinning, squared_increment_field
@@ -364,11 +365,13 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
     records are sorted before summarizing, so the output is byte-identical
     whatever the worker count.  Worker processes sidestep the interpreter
     lock; pin the BLAS pool to one thread per process when using several.
+    The caller's noise-block threads are joined before the workers fork.
     """
     indices = list(range(config.replications))
     if threads <= 1:
         records = [run_replication(config, r) for r in indices]
     else:
+        kernels.drop_pool()
         with ProcessPoolExecutor(max_workers=threads) as pool:
             records = list(pool.map(run_replication,
                                     [config] * len(indices), indices))

@@ -114,15 +114,17 @@ class DerivedRatios:
 
 def eigenvalue(mode: Mode, params: ModelParams) -> float:
     """Eigenvalue of the drift operator at the given mode; strictly
-    increasing in both indices."""
+    increasing in both indices.  Same operation order as the simulator's
+    table (``simulate._mode_tables``), so the two agree bit for bit."""
     k, l = mode
     return (-params.theta0
             + (params.theta1 ** 2 + params.eta1 ** 2) / (4.0 * params.theta2)
-            + math.pi ** 2 * (k * k + l * l) * params.theta2)
+            + math.pi ** 2 * params.theta2 * (k * k + l * l))
 
 
 def mu_value(mode: Mode, mu0: float) -> float:
-    """Damping eigenvalue ``pi^2 (k^2 + l^2) + mu0`` of the Q2 noise."""
+    """Damping eigenvalue ``pi^2 (k^2 + l^2) + mu0`` of the Q2 noise, in
+    the simulator's operation order."""
     if not (mu0 > -TWO_PI_SQ):
         raise ConfigError(
             f"mu0 must exceed -2*pi^2 = {-TWO_PI_SQ:.6f}, got {mu0}")

@@ -223,6 +223,10 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     """
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
+    if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
+        raise ConfigError(
+            f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
+            f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
     nbytes = 8 * n_reps * (grid.N + 1) * math.prod(shape)
     if nbytes > MEMORY_BUDGET:
         raise MemoryBudgetError(

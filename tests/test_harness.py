@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -172,6 +173,22 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(small_config, threads=2)
         assert serial.to_csv() == parallel.to_csv()
         assert serial.to_json() == parallel.to_json()
+
+    def test_workers_fork_without_the_noise_threads(self, small_config,
+                                                   monkeypatch):
+        # a forked worker copies a parent with no live pool threads
+        monkeypatch.setattr(kernels, "_threads", 2)
+        streams = np.zeros(2 * kernels.CHUNK, dtype=np.uint64)
+        kernels.normal_block(0, streams, streams, 0, streams)
+
+        def noise_threads():
+            return [t for t in threading.enumerate()
+                    if t.name.startswith("spde2d-noise")]
+
+        assert noise_threads()
+        parallel = run_monte_carlo(small_config, threads=2)
+        assert not noise_threads()
+        assert parallel.to_json() == run_monte_carlo(small_config).to_json()
 
     def test_single_replication_has_blank_sd(self):
         d = dict(SMALL)
@@ -400,6 +417,13 @@ class TestCli:
         assert cli_main(["mc", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_out_of_range_rep_exits_nonzero(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["simulate", "--config", cfg, "--rep", "-1",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert "error: replications -1 .. -1" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(tmp_path, "field.bin"))
 
     @pytest.mark.parametrize("argv", [
         ["cross-section", "--field", "f.bin", "--axis", "t", "--level", "0.5",

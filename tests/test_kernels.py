@@ -2,6 +2,10 @@
 NumPy words and the compiled ones, and bit-identity between the two."""
 
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -44,7 +48,10 @@ def test_blocks_advance_like_one_numpy_stream(philox_words):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("n", [1, 7, 4096])
+# the two largest sizes split into chunks over two threads, where fill runs
+# without the interpreter lock
+@pytest.mark.parametrize("n", [1, 7, 4096, kernels.CHUNK + 1,
+                               2 * kernels.CHUNK + 7])
 def test_compiled_words_and_normals_bit_identical(compiled_philox, n, rng,
                                                   monkeypatch):
     c2 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
@@ -54,6 +61,7 @@ def test_compiled_words_and_normals_bit_identical(compiled_philox, n, rng,
     c2[-1], c3[-1], k1[-1] = U64_MAX, 0, 0
     monkeypatch.setattr(kernels, "philox_raw_block",
                         kernels.compiled(compiled_philox))
+    monkeypatch.setattr(kernels, "_threads", 2)
     for block in (0, 1, 17, U64_MAX):
         for key0 in (0, 20220121, U64_MAX):
             assert np.array_equal(
@@ -67,9 +75,88 @@ def test_compiled_words_and_normals_bit_identical(compiled_philox, n, rng,
 def test_normal_block_maps_the_active_words(monkeypatch):
     # callers swap kernels.philox_raw_block; normal_block must follow it
     raw = np.array([[0, 1 << 11, 2 ** 63, U64_MAX]], dtype=np.uint64)
+    one = np.zeros(1, dtype=np.uint64)
     monkeypatch.setattr(kernels, "philox_raw_block", lambda *args: raw)
-    assert np.array_equal(kernels.normal_block(0, None, None, 0, None),
+    assert np.array_equal(kernels.normal_block(0, one, one, 0, one),
                           pyk.normals(raw))
+
+
+def _edge_streams(n):
+    rng = np.random.default_rng(n)
+    c2, c3, k1 = (rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
+                  for _ in range(3))
+    c2[0], c3[0], k1[0] = 0, U64_MAX, U64_MAX
+    c2[-1], c3[-1], k1[-1] = U64_MAX, 0, 0
+    return c2, c3, k1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
+                               kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
+                               65536])
+def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
+    # the split into chunks and threads must not show in the output
+    monkeypatch.setattr(kernels, "_threads", threads)
+    c2, c3, k1 = _edge_streams(n)
+    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
+        assert np.array_equal(kernels.normal_block(block, c2, c3, key0, k1),
+                              pyk.normal_block(block, c2, c3, key0, k1))
+
+
+def test_concurrent_callers_under_fast_switching(monkeypatch):
+    # more threads than cores, a fresh pool raced for by four callers, and
+    # frequent switches: every caller still gets the reference block
+    monkeypatch.setattr(kernels, "_threads", 3)
+    monkeypatch.setattr(kernels, "_pool", (None, None))
+    c2, c3, k1 = _edge_streams(3 * kernels.CHUNK + 5)
+    expected = [pyk.normal_block(b, c2, c3, 4, k1) for b in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as callers:
+            got = list(callers.map(
+                lambda b: kernels.normal_block(b, c2, c3, 4, k1), range(4),
+                timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    for g, e in zip(got, expected):
+        assert np.array_equal(g, e)
+
+
+def _child_block(c2, c3, k1, expected):
+    got = kernels.normal_block(3, c2, c3, 11, k1)
+    os._exit(0 if np.array_equal(got, expected) else 1)
+
+
+def test_forked_child_builds_its_own_pool(monkeypatch):
+    # the parent's pool threads do not exist in a forked child; a child
+    # that submitted to them would wait forever
+    monkeypatch.setattr(kernels, "_threads", 2)
+    c2, c3, k1 = _edge_streams(2 * kernels.CHUNK + 7)
+    expected = pyk.normal_block(3, c2, c3, 11, k1)
+    assert np.array_equal(kernels.normal_block(3, c2, c3, 11, k1), expected)
+    child = multiprocessing.get_context("fork").Process(
+        target=_child_block, args=(c2, c3, k1, expected))
+    child.start()
+    child.join(timeout=60)
+    alive = child.is_alive()
+    if alive:
+        child.kill()
+        child.join()
+    assert not alive
+    assert child.exitcode == 0
+
+
+def test_normals_leave_the_words_unchanged(rng):
+    raw = rng.integers(0, U64_MAX, (64, 4), dtype=np.uint64, endpoint=True)
+    raw[0] = 0, 1 << 11, 2 ** 63, U64_MAX
+    before = raw.copy()
+    z = pyk.normals(raw)
+    assert np.array_equal(raw, before)
+    out = np.empty((64, 4))
+    assert pyk.normals(raw, out=out) is out
+    assert np.array_equal(out, z)
+    assert np.array_equal(raw, before)
 
 
 def test_compiled_fill_rejects_mismatched_buffers(compiled_philox):

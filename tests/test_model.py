@@ -11,6 +11,7 @@ from spde2d.errors import ConfigError
 from spde2d.model import (DerivedRatios, Mode, ModelParams, NoiseKind,
                           contrast_coefficient, damping_factor,
                           eigenfunction, eigenvalue, mu_value, sinpi)
+from spde2d.simulate import TruncationSpec, _mode_tables
 
 PI2 = math.pi ** 2
 
@@ -60,6 +61,20 @@ class TestEigenvalue:
         lam = eigenvalue(Mode(k, l), params)
         assert eigenvalue(Mode(k + 1, l), params) > lam
         assert eigenvalue(Mode(k, l + 1), params) > lam
+
+
+@pytest.mark.parametrize("kind", [NoiseKind.Q1, NoiseKind.Q2_KNOWN_MU0])
+def test_scalars_equal_the_simulator_tables(kind):
+    # one operation order: the plug-ins' scalars are the simulated modes'
+    params = ModelParams(theta0=0.3, theta1=-0.7, eta1=0.45, theta2=0.37,
+                         sigma=1.3, alpha=0.3, mu0=-3.1)
+    lam, base = _mode_tables(params, kind, TruncationSpec(K=40, L=40))
+    for k in range(1, 41):
+        for l in range(1, 41):
+            assert lam[k - 1, l - 1] == eigenvalue(Mode(k, l), params)
+            expected = (mu_value(Mode(k, l), params.mu0) if kind.is_q2
+                        else eigenvalue(Mode(k, l), params))
+            assert base[k - 1, l - 1] == expected
 
 
 class TestMuValue:

@@ -94,6 +94,28 @@ class TestCoordinatePaths:
             simulate_point_values(reference_params, NoiseKind.Q1, grid, trunc,
                                   [(0.5, 0.5)], seed=SEED, reps=reps)
 
+    # replication indices key 64-bit noise streams
+    @pytest.mark.parametrize("rep", [-1, 2 ** 64])
+    def test_out_of_range_replication_rejected(self, reference_params, rep):
+        with pytest.raises(ConfigError, match="must lie in"):
+            simulate_field(reference_params, NoiseKind.Q1,
+                           SpaceTimeGrid(N=2, M1=2, M2=2),
+                           TruncationSpec(K=2, L=2), seed=SEED, rep=rep)
+
+    def test_last_replication_out_of_range_rejected(self, reference_params):
+        grid = SpaceTimeGrid(N=2, M1=2, M2=2)
+        trunc = TruncationSpec(K=2, L=2)
+        with pytest.raises(ConfigError, match="must lie in"):
+            simulate_coordinate_paths(reference_params, NoiseKind.Q1, grid,
+                                      trunc, seed=SEED, reps=3,
+                                      first_rep=2 ** 64 - 2)
+        last = simulate_coordinate_paths(reference_params, NoiseKind.Q1,
+                                         grid, trunc, seed=SEED, reps=2,
+                                         first_rep=2 ** 64 - 2)
+        assert np.array_equal(last[1], simulate_coordinate_paths(
+            reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
+            reps=1, first_rep=2 ** 64 - 1)[0])
+
     def test_initial_mode_outside_truncation_rejected(self, reference_params):
         init = InitialCondition({Mode(5, 1): 1.0})
         with pytest.raises(ConfigError):
