@@ -1,0 +1,88 @@
+"""Compiling ``_philox.c`` into an extension module, and loading it.
+
+``COMMAND`` links an extension as distutils does: ``sysconfig``'s
+``LDSHARED`` (the compiler with the platform's link flags, such as
+``-shared`` on Linux or ``-bundle -undefined dynamic_lookup`` on macOS)
+and ``CCSHARED`` (position-independent code), with ``-O3`` and Python's
+include directory.  Importing this module runs nothing.
+"""
+
+import hashlib
+import importlib.machinery
+import importlib.util
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+
+import numpy as np
+
+SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_philox.c")
+COMMAND = [*shlex.split(sysconfig.get_config_var("LDSHARED") or ""),
+           *shlex.split(sysconfig.get_config_var("CCSHARED") or ""),
+           "-O3", "-I", sysconfig.get_paths()["include"]]
+
+
+def build(directory):
+    """Path of ``SOURCE`` compiled into ``directory`` as
+    ``_philox.<key><EXT_SUFFIX>``, compiling it only when no file of that
+    key is there; raises ``ImportError`` on failure.  The key is a sha256 of
+    the source bytes, ``COMMAND`` and ``EXT_SUFFIX``.  The compile writes a
+    temporary file in ``directory`` and renames it into place, so processes
+    that build at once each load a complete module."""
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    try:
+        with open(SOURCE, "rb") as fh:
+            code = fh.read()
+    except OSError as exc:
+        raise ImportError(f"cannot read {SOURCE}: {exc}") from exc
+    key = hashlib.sha256(
+        b"\0".join([code, *(a.encode() for a in COMMAND), suffix.encode()])
+    ).hexdigest()[:16]
+    target = os.path.join(directory, f"_philox.{key}{suffix}")
+    if os.path.exists(target):
+        return target
+    try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(prefix=f"_philox.{key}.", suffix=".tmp",
+                                   dir=directory)
+        os.close(fd)
+    except OSError as exc:
+        raise ImportError(f"cannot write to {directory}: {exc}") from exc
+    try:
+        done = subprocess.run([*COMMAND, SOURCE, "-o", tmp],
+                              capture_output=True, text=True)
+        if done.returncode != 0:
+            raise ImportError(f"{shlex.join(COMMAND)} {SOURCE} failed "
+                              f"(exit {done.returncode}):\n{done.stderr}")
+        # the permissions Python gives its bytecode cache (mkstemp's 0600
+        # would keep other users from loading the module)
+        os.chmod(tmp, os.stat(SOURCE).st_mode & 0o666)
+        os.replace(tmp, target)
+    except OSError as exc:
+        raise ImportError(f"cannot compile {SOURCE}: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+    return target
+
+
+def load(path):
+    """The extension module at ``path``, loaded as ``spde2d._philox``."""
+    loader = importlib.machinery.ExtensionFileLoader("spde2d._philox", path)
+    spec = importlib.util.spec_from_loader("spde2d._philox", loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def compiled(philox):
+    """``philox_raw_block`` computed by ``philox.fill``, the compiled words."""
+    def philox_raw_block(block, ctr2, ctr3, key0, key1):
+        ctr2, ctr3, key1 = (np.ascontiguousarray(a, dtype=np.uint64)
+                            for a in (ctr2, ctr3, key1))
+        out = np.empty((ctr2.shape[0], 4), dtype=np.uint64)
+        philox.fill(block, ctr2, ctr3, key0, key1, out)
+        return out
+    return philox_raw_block

@@ -25,6 +25,7 @@ from .harness import (ExperimentConfig, cross_section_dump, csv_text,
                       default_config, estimate_field, load_config,
                       run_monte_carlo)
 from .increments import (asymptotic_mean, expected_squared_increment_oracle)
+from .model import NoiseKind
 from .simulate import simulate_field
 
 
@@ -71,9 +72,34 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _check_provenance(config: ExperimentConfig, provenance: dict) -> None:
+    """Refuse a dump whose sidecar disagrees with the config on a value that
+    estimation takes as known: the noise family, ``alpha``, and ``mu0`` for
+    known-mu0 Q2.  The two Q2 kinds simulate the same field, so either one
+    estimates a Q2 dump.  A dump without a sidecar is not checked."""
+    if not (isinstance(provenance, dict)
+            and isinstance(provenance.get("params", {}), dict)):
+        raise ConfigError("the dump's .meta.json sidecar is not an object "
+                          "with an object \"params\"")
+    params = provenance.get("params", {})
+    kind = provenance.get("kind")
+    family = [k.value for k in NoiseKind if k.is_q2 == config.kind.is_q2]
+    if kind is not None and kind not in family:
+        raise ConfigError(f"kind: the dump was simulated with {kind!r}, "
+                          f"the config says {config.kind.value!r}")
+    known = {"alpha": config.params.alpha}
+    if config.kind is NoiseKind.Q2_KNOWN_MU0:
+        known["mu0"] = config.params.mu0
+    for key, value in known.items():
+        if params.get(key, value) != value:
+            raise ConfigError(f"params.{key}: the dump was simulated with "
+                              f"{params[key]!r}, the config says {value!r}")
+
+
 def _cmd_estimate(args) -> int:
     config = _load(args)
     field = fieldio.read_field(args.field)
+    _check_provenance(config, field.provenance)
     record = estimate_field(config, field)
     payload = record.to_dict()
     if args.covariance:
@@ -89,7 +115,7 @@ def _cmd_estimate(args) -> int:
 def _covariance_at_estimates(config, record):
     """Asymptotic covariance evaluated at the plug-in estimates (null when
     the estimates are incomplete or outside the admissible region)."""
-    from .model import ModelParams, NoiseKind
+    from .model import ModelParams
     from .plugins import covariance_J, covariance_K, covariance_L
 
     est = record.estimates

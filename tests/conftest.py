@@ -1,11 +1,5 @@
-import importlib.machinery
-import importlib.util
 import os
-import shlex
 import shutil
-import subprocess
-import sysconfig
-from pathlib import Path
 
 # Keep BLAS single-threaded: the suite's matrices are small enough that a
 # thread pool only adds latency, and worker-process tests assume it.
@@ -15,7 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
 import numpy as np
 import pytest
 
-from spde2d import _kernels_py, kernels
+from spde2d import _cbuild, _kernels_py
 from spde2d.model import ModelParams
 
 
@@ -33,23 +27,17 @@ def rng() -> np.random.Generator:
 
 @pytest.fixture(scope="session")
 def compiled_philox(tmp_path_factory):
-    """``src/spde2d/_philox.c`` compiled into a temporary directory and loaded
-    as ``spde2d._philox``; skips where there is no C compiler."""
-    cc = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(cc[0]) is None:
-        pytest.skip(f"no C compiler ({cc[0]})")
-    source = Path(__file__).parents[1] / "src" / "spde2d" / "_philox.c"
-    target = (tmp_path_factory.mktemp("philox")
-              / ("_philox" + sysconfig.get_config_var("EXT_SUFFIX")))
-    subprocess.run([*cc, "-O3", "-fPIC", "-shared",
-                    "-I", sysconfig.get_paths()["include"],
-                    str(source), "-o", str(target)], check=True)
-    loader = importlib.machinery.ExtensionFileLoader("spde2d._philox",
-                                                     str(target))
-    spec = importlib.util.spec_from_loader("spde2d._philox", loader)
-    module = importlib.util.module_from_spec(spec)
-    loader.exec_module(module)
-    return module
+    """``_philox.c`` built by ``_cbuild.build`` into a temporary directory
+    and loaded as ``spde2d._philox``; skips where there is no C compiler."""
+    if shutil.which(_cbuild.COMMAND[0]) is None:
+        pytest.skip(f"no C compiler ({_cbuild.COMMAND[0]})")
+    return _cbuild.load(_cbuild.build(tmp_path_factory.mktemp("philox")))
+
+
+@pytest.fixture(scope="session")
+def compiled_words(compiled_philox):
+    """``philox_raw_block`` of the compiled module."""
+    return _cbuild.compiled(compiled_philox)
 
 
 @pytest.fixture(params=["python", "c"])
@@ -57,4 +45,4 @@ def philox_words(request):
     """``philox_raw_block`` of the NumPy reference or of the compiled module."""
     if request.param == "python":
         return _kernels_py.philox_raw_block
-    return kernels.compiled(request.getfixturevalue("compiled_philox"))
+    return request.getfixturevalue("compiled_words")

@@ -442,6 +442,75 @@ class TestCli:
         assert cli_main(["estimate", "--config", cfg, "--field",
                          str(tmp_path / "absent.bin")]) == 1
 
+    @staticmethod
+    def _variant(tmp_path, name, kind="q1", **params):
+        path = tmp_path / name
+        path.write_text(json.dumps(dict(
+            SMALL, kind=kind, params=dict(SMALL["params"], **params))))
+        return str(path)
+
+    @pytest.mark.parametrize("simulated, estimated, key", [
+        (("q1", {"alpha": 0.3}), ("q1", {}), "params.alpha"),
+        (("q1", {}), ("q2-known-mu0", {"mu0": 0.0}), "kind"),
+        (("q2-unknown-mu0", {"mu0": 0.0}), ("q1", {}), "kind"),
+        (("q2-known-mu0", {"mu0": 0.0}), ("q2-known-mu0", {"mu0": 0.5}),
+         "params.mu0"),
+    ])
+    def test_estimate_refuses_a_dump_of_other_known_values(
+            self, tmp_path, capsys, simulated, estimated, key):
+        out = str(tmp_path)
+        assert cli_main(["simulate", "--config",
+                         self._variant(tmp_path, "sim.json", simulated[0],
+                                       **simulated[1]),
+                         "--out-dir", out]) == 0
+        capsys.readouterr()
+        assert cli_main(["estimate", "--config",
+                         self._variant(tmp_path, "est.json", estimated[0],
+                                       **estimated[1]),
+                         "--field", os.path.join(out, "field.bin"),
+                         "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key}: ")
+        assert not os.path.exists(os.path.join(out, "estimate.json"))
+
+    @pytest.mark.parametrize("simulated, estimated, sidecar", [
+        # the two Q2 kinds simulate the same field; mu0 is estimated
+        (("q2-known-mu0", {"mu0": 0.0}), ("q2-unknown-mu0", {"mu0": 0.5}),
+         True),
+        # a dump without a sidecar is read as it is
+        (("q1", {"alpha": 0.3}), ("q1", {}), False),
+    ])
+    def test_estimate_accepts(self, tmp_path, simulated, estimated, sidecar):
+        out = str(tmp_path)
+        field = os.path.join(out, "field.bin")
+        assert cli_main(["simulate", "--config",
+                         self._variant(tmp_path, "sim.json", simulated[0],
+                                       **simulated[1]),
+                         "--out-dir", out]) == 0
+        if not sidecar:
+            os.remove(field + ".meta.json")
+        assert cli_main(["estimate", "--config",
+                         self._variant(tmp_path, "est.json", estimated[0],
+                                       **estimated[1]),
+                         "--field", field, "--out-dir", out]) == 0
+        assert os.path.exists(os.path.join(out, "estimate.json"))
+
+    @pytest.mark.parametrize("sidecar", [[], "q1", {"params": None},
+                                         {"params": [0.5]},
+                                         {"kind": ["q1"]}])
+    def test_estimate_refuses_a_malformed_sidecar(self, tmp_path, capsys,
+                                                  sidecar):
+        out = str(tmp_path)
+        field = os.path.join(out, "field.bin")
+        cfg = self._variant(tmp_path, "cfg.json")
+        assert cli_main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        with open(field + ".meta.json", "w") as fh:
+            json.dump(sidecar, fh)
+        capsys.readouterr()
+        assert cli_main(["estimate", "--config", cfg, "--field", field,
+                         "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out, "estimate.json"))
+
 
 class TestPhiloxPaths:
     """The NumPy and the compiled Philox words drive the same pipeline."""
@@ -463,7 +532,7 @@ class TestPhiloxPaths:
         assert hashlib.sha256(z.tobytes()).hexdigest() == self.NORMALS_SHA
 
     def test_replication_equal_under_compiled_words(self, small_config,
-                                                    compiled_philox,
+                                                    compiled_words,
                                                     monkeypatch):
         def outputs():
             rec = run_replication(small_config, 0)
@@ -472,8 +541,7 @@ class TestPhiloxPaths:
         monkeypatch.setattr(kernels, "philox_raw_block",
                             _kernels_py.philox_raw_block)
         reference = outputs()
-        monkeypatch.setattr(kernels, "philox_raw_block",
-                            kernels.compiled(compiled_philox))
+        monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
         assert outputs() == reference
 
 

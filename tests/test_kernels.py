@@ -1,17 +1,23 @@
 """Kernels: stream correctness against the numpy Philox oracle, for the
-NumPy words and the compiled ones, and bit-identity between the two."""
+NumPy words and the compiled ones, bit-identity between the two, and the
+on-demand build of the compiled words."""
 
 import math
 import multiprocessing
 import os
+import shutil
+import subprocess
 import sys
+import sysconfig
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import spde2d
 import spde2d._kernels_py as pyk
-from spde2d import kernels
+from spde2d import _cbuild, kernels
 
 U64_MAX = 2 ** 64 - 1
 
@@ -52,15 +58,14 @@ def test_blocks_advance_like_one_numpy_stream(philox_words):
 # without the interpreter lock
 @pytest.mark.parametrize("n", [1, 7, 4096, kernels.CHUNK + 1,
                                2 * kernels.CHUNK + 7])
-def test_compiled_words_and_normals_bit_identical(compiled_philox, n, rng,
+def test_compiled_words_and_normals_bit_identical(compiled_words, n, rng,
                                                   monkeypatch):
     c2 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
     c3 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
     k1 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
     c2[0], c3[0], k1[0] = 0, U64_MAX, U64_MAX
     c2[-1], c3[-1], k1[-1] = U64_MAX, 0, 0
-    monkeypatch.setattr(kernels, "philox_raw_block",
-                        kernels.compiled(compiled_philox))
+    monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
     monkeypatch.setattr(kernels, "_threads", 2)
     for block in (0, 1, 17, U64_MAX):
         for key0 in (0, 20220121, U64_MAX):
@@ -221,3 +226,124 @@ def test_kahan_accumulation_beats_naive():
     for _ in range(n_terms):
         kernels.sq_diff_accum(a, b, acc, comp)
     assert abs(acc[0] - exact) <= 2.0 * np.finfo(float).eps * exact
+
+
+# -- the on-demand build, in fresh interpreters on a copy of the package ----
+
+# prints the active word source, then whether its words are the reference's
+PROBE = """
+import numpy as np
+import spde2d
+from spde2d import _kernels_py, kernels
+s = np.arange(1, 40000, dtype=np.uint64)
+print(spde2d.BACKEND)
+print(np.array_equal(kernels.philox_raw_block(3, s, s[::-1], 7, s),
+                     _kernels_py.philox_raw_block(3, s, s[::-1], 7, s)))
+"""
+
+
+def _package_copy(tmp_path):
+    """A copy of the package without its caches; returns its directory."""
+    pkg = tmp_path / "spde2d"
+    shutil.copytree(Path(spde2d.__file__).parent, pkg,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return pkg
+
+
+def _import(pkg, **env):
+    inherited = {k: v for k, v in os.environ.items()
+                 if k != "PYTHONPYCACHEPREFIX"}
+    return subprocess.Popen(
+        [sys.executable, "-c", PROBE], cwd=pkg.parent,
+        env={**inherited, "PYTHONPATH": str(pkg.parent), **env},
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
+def _run(pkg, **env):
+    with _import(pkg, **env) as proc:
+        out, err = proc.communicate(timeout=120)
+    return proc.returncode, out, err
+
+
+def _cache(pkg):
+    return sorted((pkg / "__pycache__").glob("_philox.*"))
+
+
+def test_fresh_import_builds_the_compiled_words(compiled_philox, tmp_path):
+    pkg = _package_copy(tmp_path)
+    assert _run(pkg) == (0, "c\nTrue\n", "")
+    (built,) = _cache(pkg)
+    assert built.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
+
+
+def test_second_import_runs_no_compiler(compiled_philox, tmp_path):
+    pkg = _package_copy(tmp_path)
+    assert _run(pkg)[0] == 0
+    (built,) = _cache(pkg)
+    before = built.stat()
+    # with no compiler on the path, a build would fall back to "python"
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _run(pkg, PATH=str(empty)) == (0, "c\nTrue\n", "")
+    assert _cache(pkg) == [built]
+    after = built.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
+                                                 before.st_mtime_ns)
+
+
+def test_changed_source_gets_its_own_cache_file(compiled_philox, tmp_path):
+    pkg = _package_copy(tmp_path)
+    assert _run(pkg) == (0, "c\nTrue\n", "")
+    (first,) = _cache(pkg)
+    with open(pkg / "_philox.c", "a") as fh:
+        fh.write("/* edited */\n")
+    assert _run(pkg) == (0, "c\nTrue\n", "")
+    assert len(_cache(pkg)) == 2 and first in _cache(pkg)
+
+
+def test_missing_compiler_falls_back_silently(tmp_path):
+    if os.path.isabs(_cbuild.COMMAND[0]):
+        pytest.skip(f"the compiler is not looked up on PATH "
+                    f"({_cbuild.COMMAND[0]})")
+    pkg = _package_copy(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    assert _run(pkg, PATH=str(empty)) == (0, "python\nTrue\n", "")
+    assert _cache(pkg) == []
+
+
+def test_failed_compile_falls_back_silently(tmp_path):
+    pkg = _package_copy(tmp_path)
+    (pkg / "_philox.c").write_text("#error not a Philox\n")
+    assert _run(pkg) == (0, "python\nTrue\n", "")
+    assert _cache(pkg) == []
+
+
+def test_unwritable_cache_falls_back(tmp_path):
+    # a file in place of the cache directory: permission bits would not
+    # stop a process run as root
+    pkg = _package_copy(tmp_path)
+    (pkg / "__pycache__").write_text("")
+    assert _run(pkg) == (0, "python\nTrue\n", "")
+
+
+def test_pycache_prefix_holds_the_cache(compiled_philox, tmp_path):
+    # where Python writes bytecode, as a read-only install may ask for
+    pkg = _package_copy(tmp_path)
+    (pkg / "__pycache__").write_text("")
+    prefix = tmp_path / "prefix"
+    assert _run(pkg, PYTHONPYCACHEPREFIX=str(prefix)) == (0, "c\nTrue\n", "")
+    assert len(list(prefix.rglob("_philox.*"))) == 1
+
+
+def test_processes_building_at_once_load_working_modules(compiled_philox,
+                                                         tmp_path):
+    pkg = _package_copy(tmp_path)
+    procs = [_import(pkg) for _ in range(2)]
+    results = []
+    for proc in procs:
+        with proc:
+            out, err = proc.communicate(timeout=120)
+        results.append((proc.returncode, out, err))
+    assert results == [(0, "c\nTrue\n", "")] * 2
+    assert len(_cache(pkg)) == 1
