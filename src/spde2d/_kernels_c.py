@@ -11,7 +11,8 @@ stale one; deleting the file rebuilds it.
 Importing this module raises ``ImportError`` when the words cannot be
 built or loaded: no compiler, a failed compile, or a cache directory that
 cannot be written.  ``kernels`` then uses the NumPy words of
-``_kernels_py``.  Everything but the words is ``_kernels_py``'s code.
+``_kernels_py``.  Everything but the words and their uniforms is
+``_kernels_py``'s code.
 """
 
 import os
@@ -26,7 +27,9 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 CACHE = (os.path.join(sys.pycache_prefix, _HERE.lstrip(os.sep))
          if sys.pycache_prefix else os.path.join(_HERE, "__pycache__"))
 
-philox_raw_block = compiled(load(build(CACHE)))
+_philox = load(build(CACHE))
+fill = _philox.fill  # the words, or into a float64 ``out`` their uniforms
+philox_raw_block = compiled(_philox)
 
 
 def normal_block(block, ctr2, ctr3, key0, key1):

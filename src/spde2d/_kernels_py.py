@@ -13,7 +13,8 @@ and draw ``i`` of a stream is lane ``i % 4`` of block ``i // 4``.  A raw
 
     z = ndtri(((x >> 11) + 0.5) * 2**-53)
 
-which uses the top 53 bits and never hits the endpoints of (0, 1).
+which uses the top 53 bits.  It never reaches 0; the 2**11 words whose top
+53 bits are all ones round to exactly 1 (``z = inf``), one draw in 2**53.
 """
 
 import numpy as np
@@ -78,14 +79,20 @@ def philox_raw_block(block, ctr2, ctr3, key0, key1):
     return out
 
 
-def normals(raw, out=None):
-    """Standard normals from raw Philox words by the inverse-CDF map,
+def uniforms(raw, out=None):
+    """The uniforms ``((x >> 11) + 0.5) * 2**-53`` of raw Philox words,
     written to ``out`` (a float64 array of ``raw``'s shape) when given."""
     if out is None:
         out = np.empty(raw.shape)
     np.right_shift(raw, _SH11, out=out)
     np.add(out, 0.5, out=out)
-    np.multiply(out, _U53, out=out)
+    return np.multiply(out, _U53, out=out)
+
+
+def normals(raw, out=None):
+    """Standard normals from raw Philox words by the inverse-CDF map,
+    written to ``out`` (a float64 array of ``raw``'s shape) when given."""
+    out = uniforms(raw, out)
     return ndtri(out, out=out)
 
 
@@ -94,11 +101,14 @@ def normal_block(block, ctr2, ctr3, key0, key1):
     return normals(philox_raw_block(block, ctr2, ctr3, key0, key1))
 
 
-def ou_step(x, decay, scale, noise):
-    """In-place ``x <- decay * x + scale * noise`` (flat float64 arrays)."""
-    np.multiply(x, decay, out=x)
+def ou_step(x, decay, scale, noise, out=None):
+    """``out <- decay * x + scale * noise`` (flat float64 arrays), in place
+    on ``x`` when ``out`` is not given."""
+    if out is None:
+        out = x
+    np.multiply(x, decay, out=out)
     t = np.multiply(scale, noise)
-    np.add(x, t, out=x)
+    np.add(out, t, out=out)
 
 
 def sq_diff_accum(curr, prev, acc, comp):

@@ -159,7 +159,11 @@ def _cmd_oracle(args) -> int:
     config = _load(args)
     n_steps = config.grid.N
     if args.i:
-        idx = [int(tok) for tok in args.i.split(",")]
+        try:
+            idx = [int(tok) for tok in args.i.split(",")]
+        except ValueError:
+            raise ConfigError(f"--i takes comma-separated integers, got "
+                              f"{args.i!r}") from None
     else:
         idx = list(range(1, n_steps + 1))
     rows = [(i, expected_squared_increment_oracle(

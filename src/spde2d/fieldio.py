@@ -43,6 +43,11 @@ def write_field(field: FieldSample, path: str) -> None:
 
 
 def read_field(path: str) -> FieldSample:
+    """The dump at ``path`` with its sidecar's provenance (``{}`` without
+    one); raises ``ConfigError`` for anything but a well-formed dump and a
+    sidecar of valid JSON, and ``FileNotFoundError`` for no file."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{path} is a directory, not a field dump")
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != MAGIC:
@@ -65,7 +70,11 @@ def read_field(path: str) -> FieldSample:
             raise ConfigError(f"{path} is truncated ({count} values expected)")
     values = data.astype(np.float64, copy=False)
     provenance = {}
-    if os.path.exists(_meta_path(path)):
-        with open(_meta_path(path)) as fh:
-            provenance = json.load(fh)
+    meta = _meta_path(path)
+    if os.path.exists(meta):
+        with open(meta, "rb") as fh:
+            try:
+                provenance = json.load(fh)
+            except ValueError as exc:  # bad JSON or bad UTF-8
+                raise ConfigError(f"{meta} is not valid JSON: {exc}") from exc
     return FieldSample(values=values, grid=grid, provenance=provenance)

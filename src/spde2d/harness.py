@@ -365,10 +365,12 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
     records are sorted before summarizing, so the output is byte-identical
     whatever the worker count.  Worker processes sidestep the interpreter
     lock; pin the BLAS pool to one thread per process when using several.
-    The caller's noise-block threads are joined before the workers fork.
+    The caller's kernel threads are joined before the workers fork.
     """
+    if not (isinstance(threads, int) and threads >= 1):
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     indices = list(range(config.replications))
-    if threads <= 1:
+    if threads == 1:
         records = [run_replication(config, r) for r in indices]
     else:
         kernels.drop_pool()

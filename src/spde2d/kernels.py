@@ -2,23 +2,30 @@
 
 Philox words come from ``_kernels_c``, which compiles ``_philox.c`` on
 first import, and from the NumPy reference in ``_kernels_py`` where that
-fails; ``BACKEND`` names the source (``"c"`` or ``"python"``).  All float
-work (the map to normals, the OU step, the compensated sum) is the NumPy
-code on both backends, so their output is bit-identical by construction:
-only integer words can differ, and the tests compare those.
+fails; ``BACKEND`` names the source (``"c"`` or ``"python"``).  The float
+work is elementwise and the same on both backends: the map to uniforms
+(NumPy's, or for the compiled words ``_philox.c``'s, which is exact by
+construction and so equal to it), ``ndtri``, the OU step and the
+compensated sum.  So their output is bit-identical: only integer words can
+differ, and the tests compare those and the two maps.
 
-``normal_block`` cuts a block's streams into chunks of ``CHUNK`` and shares
-contiguous runs of chunks among the process's kernel threads.  Philox is
-counter-based, so every stream's words depend on its own counter and key
-alone, and the output does not depend on the split.
+``normal_block`` and ``ou_sweep`` cut the streams into chunks of ``CHUNK``
+and share contiguous runs of chunks among the process's kernel threads.
+Philox is counter-based, so every stream's words depend on its own counter
+and key alone, as does its OU path: the output does not depend on the
+split.
 """
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
+from scipy.special import ndtri
 
-from ._kernels_py import normals, ou_step, sq_diff_accum
+from ._kernels_py import normals, ou_step, sq_diff_accum, uniforms
+# ou_sweep's step under a name of its own: a timing wrapper swapped in for
+# ``ou_step`` from outside would otherwise run for every chunk and thread
+from ._kernels_py import ou_step as _ou_step
 
 try:
     from . import _kernels_c as _words
@@ -29,14 +36,20 @@ BACKEND = _words.BACKEND_NAME
 philox_raw_block = _words.philox_raw_block
 
 
-# Streams per chunk, the size measured fastest on a 2-vCPU x86-64 host:
-# with 8192-stream chunks two threads ran a desk replication slower than
-# one (7.2 s against 6.2 s).  A block of one chunk stays whole on the
-# calling thread; split in two, a 16,384-stream block took 8.7 ms against
-# 7.4 ms.
-CHUNK = 16384
+# Streams per chunk, measured on a 2-vCPU x86-64 host with the compiled
+# words: a field at K=L=128 (16,384 streams) took 0.40 s in 8,192-stream
+# chunks against 0.65 s in one 16,384-stream chunk, whose noise leaves the
+# second core idle; at K=L=256 both sizes took 1.6 s.  A chunk's normals
+# (256 KiB) stay in cache from the words through ndtri to the OU steps.
+# The NumPy words pay their many ufunc calls per chunk: at this size their
+# desk field took 4.3-5.0 s against 3.6-4.1 s in 16,384-stream chunks.
+CHUNK = 8192
 
-# Threads per noise block, the calling thread included: the cores this
+# Bytes of OU states one tile of ``ou_sweep`` holds: 4 steps of 65,536
+# streams, the size of one desk-scale normal block.
+TILE_BYTES = 2 << 20
+
+# Kernel threads, the calling thread included: the cores this
 # process may run on.
 _threads = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
@@ -60,9 +73,9 @@ def _executor():
 
 
 def drop_pool():
-    """Join this process's pool threads; the next multi-chunk block builds
-    a new pool.  Call it before forking, so that the parent forks without
-    the pool's threads.  No noise block may be running meanwhile."""
+    """Join this process's pool threads; the next call that shares work
+    builds a new pool.  Call it before forking, so that the parent forks without
+    the pool's threads.  No kernel may be running meanwhile."""
     global _pool
     pid, pool = _pool
     _pool = (None, None)
@@ -70,16 +83,36 @@ def drop_pool():
         pool.shutdown()
 
 
+def _share(run, n, unit):
+    """``run(lo, hi)`` over contiguous runs of whole ``unit``s of
+    ``range(n)``, one per kernel thread, the first on the calling thread;
+    returns, or raises the first error, once all are done.  A range of one
+    unit stays on the calling thread."""
+    units = -(-n // unit)
+    parts = min(_threads, units)
+    if parts <= 1:
+        run(0, n)
+        return
+    edges = [min(n, unit * (units * i // parts)) for i in range(parts + 1)]
+    pool = _executor()
+    futures = [pool.submit(run, lo, hi)
+               for lo, hi in zip(edges[1:-1], edges[2:])]
+    try:
+        run(edges[0], edges[1])
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
 def normal_block(block, ctr2, ctr3, key0, key1):
     """Four standard normals per stream for one counter block, (n, 4).
 
     Reads ``philox_raw_block`` from this module at call time, so swapping
-    the module attribute swaps the words.  A block of one chunk stays on
-    the calling thread.
+    the module attribute swaps the words.
     """
     words = philox_raw_block
-    n = len(ctr2)
-    out = np.empty((n, 4))
+    out = np.empty((len(ctr2), 4))
 
     def run(lo, hi):
         for a in range(lo, hi, CHUNK):
@@ -87,16 +120,74 @@ def normal_block(block, ctr2, ctr3, key0, key1):
             normals(words(block, ctr2[a:b], ctr3[a:b], key0, key1[a:b]),
                     out=out[a:b])
 
-    chunks = -(-n // CHUNK)
-    parts = min(_threads, chunks)
-    if parts <= 1:
-        run(0, n)
-        return out
-    edges = [min(n, CHUNK * (chunks * i // parts)) for i in range(parts + 1)]
-    pool = _executor()
-    futures = [pool.submit(run, lo, hi)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
-    run(edges[0], edges[1])
-    for f in futures:
-        f.result()
+    _share(run, len(ctr2), CHUNK)
     return out
+
+
+def _uniform_fill(words):
+    """``fill(block, ctr2, ctr3, key0, key1, out)`` writing the uniforms of
+    ``words`` to a float64 ``(n, 4)`` ``out``: the compiled map when
+    ``words`` are the compiled words, the NumPy one otherwise."""
+    if BACKEND == "c" and words is _words.philox_raw_block:
+        return _words.fill
+
+    def fill(block, ctr2, ctr3, key0, key1, out):
+        uniforms(words(block, ctr2, ctr3, key0, key1), out=out)
+    return fill
+
+
+def tile_steps(n):
+    """Steps per ``ou_sweep`` tile of ``n`` streams: a multiple of 4 with
+    at most ``TILE_BYTES`` of states where 4 steps fit, else 4."""
+    return 4 * max(1, TILE_BYTES // (32 * n))
+
+
+def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
+    """Run the OU streams from state ``x`` through ``steps`` exact steps,
+    calling ``visit(i, state)`` with the state after step ``i`` for
+    ``i = 0, ..., steps``.
+
+    Step ``i`` is ``state <- decay * state + scale * z`` (``ou_step``), with
+    ``z`` the normal of lane ``(i-1) % 4`` of counter block ``(i-1) // 4``
+    of ``normal_block``.  The steps run in tiles of ``tile_steps`` states:
+    each kernel thread takes a run of whole chunks of streams through the
+    tile, block by block, drawing one chunk's uniforms (``philox_raw_block``
+    read at call time, so swapping it swaps the words), mapping them by
+    ``ndtri`` in place and stepping the chunk's streams.  Then the tile's
+    ``visit`` calls are shared among the threads, in any order, where the
+    streams span several chunks; ``state`` is a view valid for the call
+    only.  ``x`` is not modified.
+    """
+    n = len(x)
+    fill = _uniform_fill(philox_raw_block)
+    visit(0, x)
+    rows = min(tile_steps(n), steps)
+    tile = np.empty((rows, n))
+    prev = x
+    for first in range(0, steps, rows):
+        count = min(rows, steps - first)
+
+        def advance(lo, hi):
+            noise = np.empty((min(CHUNK, hi - lo), 4))
+            for j in range(0, count, 4):
+                for a in range(lo, hi, CHUNK):
+                    b = min(a + CHUNK, hi)
+                    z = noise[:b - a]
+                    fill((first + j) // 4, ctr2[a:b], ctr3[a:b], key0,
+                         key1[a:b], z)
+                    ndtri(z, out=z)
+                    for t in range(j, min(j + 4, count)):
+                        _ou_step(tile[t - 1, a:b] if t else prev[a:b],
+                                 decay[a:b], scale[a:b], z[:, t - j],
+                                 out=tile[t, a:b])
+
+        def project(lo, hi):
+            for t in range(lo, hi):
+                visit(first + t + 1, tile[t])
+
+        _share(advance, n, CHUNK)
+        # A tile of one chunk keeps its projections too: at K=L=8 to 64 on
+        # a 50x50 grid they are too small to pay for the threads' handoffs
+        # (a field took 27 against 21 ms at K=L=8, 184 against 165 ms at 64).
+        _share(project, count, 1 if n > CHUNK else count)
+        prev = tile[-1]

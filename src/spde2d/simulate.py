@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -175,12 +175,12 @@ def _stream_words(trunc: TruncationSpec):
 
 def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
            trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
-           reps: range) -> Iterator[np.ndarray]:
-    """Yield the ``(len(reps), K*L)`` mode state at t_0, t_1, ..., t_N.
+           reps: range, project, rows: np.ndarray) -> None:
+    """Write ``project(state)`` of the ``(len(reps), K*L)`` mode state at
+    t_i to ``rows[:, i]``, for i = 0, ..., N.
 
-    Row ``r`` is replication ``reps[r]``, whose noise streams are keyed by
-    ``(seed, reps[r])``.  The yielded array is updated in place between
-    steps; copy it to keep it.
+    Row ``r`` of ``state`` is replication ``reps[r]``, whose noise streams
+    are keyed by ``(seed, reps[r])``.
     """
     lam, damp_base = _mode_tables(params, kind, trunc)
     gamma = params.sigma * damp_base ** (-0.5 * params.alpha)
@@ -195,17 +195,14 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     # Zero starts skip the dense table: allocating and freeing it before the
     # loop adds 1.5 MB to the peak RSS of a desk-scale replication.
     x = np.zeros(n_reps * trunc.n_modes)
-    state = x.reshape(n_reps, trunc.n_modes)
     if init.coefficients:
-        state[:] = init.dense(trunc).ravel()
-    yield state
-    block = None
-    for i in range(1, grid.N + 1):
-        b, lane = divmod(i - 1, 4)
-        if lane == 0:
-            block = kernels.normal_block(b, c2, c3, seed.master, key1)
-        kernels.ou_step(x, decay, scale, block[:, lane])
-        yield state
+        x.reshape(n_reps, trunc.n_modes)[:] = init.dense(trunc).ravel()
+
+    def visit(i, state):
+        rows[:, i] = project(state.reshape(n_reps, trunc.n_modes))
+
+    kernels.ou_sweep(x, decay, scale, c2, c3, seed.master, key1, grid.N,
+                     visit)
 
 
 def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
@@ -216,10 +213,10 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     first_rep+n_reps-1``, shape ``(n_reps, N+1, *shape)``.
 
     ``project`` maps the ``(reps, K*L)`` sweep state of a chunk of
-    replications to values that broadcast to ``(reps, *shape)``.  The
-    request is checked against ``MEMORY_BUDGET`` before anything is
-    allocated, and chunks of at most about 2M noise streams bound the
-    working memory of a sweep.
+    replications to values that broadcast to ``(reps, *shape)``; it runs on
+    the kernel threads, several steps at once.  The request is checked
+    against ``MEMORY_BUDGET`` before anything is allocated, and chunks of
+    at most about 2M noise streams bound the working memory of a sweep.
     """
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
@@ -237,9 +234,7 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     for r0 in range(0, n_reps, chunk):
         rows = out[r0:r0 + chunk]
         reps = range(first_rep + r0, first_rep + r0 + len(rows))
-        for i, x in enumerate(_sweep(params, kind, grid, trunc, init, seed,
-                                     reps)):
-            rows[:, i] = project(x)
+        _sweep(params, kind, grid, trunc, init, seed, reps, project, rows)
     return out
 
 

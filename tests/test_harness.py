@@ -511,6 +511,55 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(os.path.join(out, "estimate.json"))
 
+    @pytest.mark.parametrize("sidecar", [b"{broken", b'{"kind": "q1"',
+                                         b"\xff\xfe{}"])
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["cross-section", "--axis", "t", "--level", "0.5"]])
+    def test_sidecar_that_is_not_json_exits_nonzero(self, tmp_path, capsys,
+                                                    sidecar, command):
+        out = str(tmp_path)
+        field = os.path.join(out, "field.bin")
+        cfg = self._variant(tmp_path, "cfg.json")
+        assert cli_main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        with open(field + ".meta.json", "wb") as fh:
+            fh.write(sidecar)
+        capsys.readouterr()
+        config = ["--config", cfg] if command[0] == "estimate" else []
+        assert cli_main([*command, *config, "--field", field,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {field}.meta.json is not valid JSON: ")
+        assert not os.path.exists(tmp_path / "out")
+
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["cross-section", "--axis", "t", "--level", "0.5"]])
+    def test_field_that_is_a_directory_exits_nonzero(self, tmp_path, capsys,
+                                                     command):
+        config = (["--config", self._write_config(tmp_path)]
+                  if command[0] == "estimate" else [])
+        assert cli_main([*command, *config, "--field", str(tmp_path),
+                         "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path} is a directory, not a field dump\n")
+
+    def test_oracle_refuses_a_non_integer_index(self, tmp_path, capsys):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["oracle", "--config", cfg, "--i", "1,x",
+                         "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: --i takes comma-separated integers, got '1,x'\n")
+        assert not os.path.exists(tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_mc_refuses_nonpositive_threads(self, tmp_path, capsys, threads):
+        cfg = self._write_config(tmp_path)
+        out = tmp_path / "mc"
+        assert cli_main(["mc", "--config", cfg, "--threads", threads,
+                         "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: threads must be an integer >= 1, got {threads}\n")
+        assert not os.path.exists(out)
+
 
 class TestPhiloxPaths:
     """The NumPy and the compiled Philox words drive the same pipeline."""

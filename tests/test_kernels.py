@@ -2,6 +2,7 @@
 NumPy words and the compiled ones, bit-identity between the two, and the
 on-demand build of the compiled words."""
 
+import ctypes
 import math
 import multiprocessing
 import os
@@ -181,6 +182,88 @@ def test_compiled_fill_rejects_mismatched_buffers(compiled_philox):
         fill(0, c2, c2, 1, c2.astype(np.uint32), out)    # 4-byte words
     with pytest.raises(ValueError):
         fill(0, c2[::2], c2[::2], 1, c2[::2], out[:4])   # not contiguous
+
+
+# _philox.c with an entry point applying its u53 map to given words: the
+# words that fill maps cannot be chosen, since Philox makes them
+U53_SHIM = """
+#include "{source}"
+void map_words(const uint64_t *x, double *u, long n)
+{{
+    for (long i = 0; i < n; i++)
+        u[i] = u53(x[i]);
+}}
+"""
+
+
+@pytest.fixture(scope="module")
+def compiled_u53(compiled_philox, tmp_path_factory):
+    """The compiled ``u53`` map as a function of a uint64 array."""
+    work = tmp_path_factory.mktemp("u53")
+    (work / "shim.c").write_text(U53_SHIM.format(source=_cbuild.SOURCE))
+    lib = work / "shim.so"
+    subprocess.run([*_cbuild.COMMAND, str(work / "shim.c"), "-o", str(lib)],
+                   check=True, capture_output=True)
+    map_words = ctypes.CDLL(str(lib)).map_words
+    map_words.restype = None
+    map_words.argtypes = [ctypes.c_void_p, ctypes.c_void_p, ctypes.c_long]
+
+    def u53(words):
+        words = np.ascontiguousarray(words, dtype=np.uint64)
+        out = np.empty(words.shape)
+        map_words(words.ctypes.data, out.ctypes.data, words.size)
+        return out
+    return u53
+
+
+def test_compiled_uniform_map_matches_numpy_on_edge_words(compiled_u53, rng):
+    top = [0, 1, 2 ** 52 - 1, 2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1]
+    words = np.array([t << 11 | low for t in top for low in (0, 1, 0x7FF)],
+                     dtype=np.uint64)
+    assert words[0] == 0 and words[-1] == U64_MAX
+    last = len(words) - 1
+    words = np.concatenate([words, rng.integers(0, U64_MAX, 100_000,
+                                                dtype=np.uint64,
+                                                endpoint=True)])
+    got = compiled_u53(words)
+    assert np.array_equal(got.view(np.uint64),
+                          pyk.uniforms(words).view(np.uint64))
+    # the + 0.5 is exact below 2**52 and rounds half to even from there
+    assert got[0] == 2.0 ** -54
+    assert got[words == (2 ** 52 - 1) << 11] == 0.5 - 2.0 ** -54
+    assert got[words == 2 ** 52 << 11] == 0.5
+    assert got[words == (2 ** 52 + 1) << 11] == 0.5 + 2.0 ** -52
+    assert got[last] == 1.0
+
+
+@pytest.mark.parametrize("n", [1, 7, 4096])
+def test_compiled_fill_writes_the_uniforms_of_its_words(compiled_philox, n):
+    c2, c3, k1 = _edge_streams(n)
+    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
+        words = np.empty((n, 4), dtype=np.uint64)
+        u = np.empty((n, 4))
+        compiled_philox.fill(block, c2, c3, key0, k1, words)
+        compiled_philox.fill(block, c2, c3, key0, k1, u)
+        assert np.array_equal(words,
+                              pyk.philox_raw_block(block, c2, c3, key0, k1))
+        assert np.array_equal(u.view(np.uint64),
+                              pyk.uniforms(words).view(np.uint64))
+
+
+def test_compiled_fill_rejects_bad_uniform_buffers(compiled_philox):
+    c2 = np.arange(8, dtype=np.uint64)
+    fill = compiled_philox.fill
+    for out in (np.empty((8, 4), dtype=np.float32),   # 4-byte reals
+                np.empty((7, 4)), np.empty((9, 4)),   # wrong length
+                np.empty((8, 4), dtype=np.int64),     # signed words
+                np.empty((8, 4), dtype=np.complex64),
+                np.empty((4, 8))[:, ::2]):            # not contiguous
+        with pytest.raises(ValueError):
+            fill(0, c2, c2, 1, c2, out)
+    with pytest.raises(ValueError):
+        fill(0, c2.astype(np.float64), c2, 1, c2, np.empty((8, 4)))
+    with pytest.raises(ValueError):                   # read-only
+        fill(0, c2, c2, 1, c2, np.frombuffer(bytes(256)).reshape(8, 4))
 
 
 def test_normal_map_is_inverse_cdf_of_top_bits(rng):

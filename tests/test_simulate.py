@@ -2,11 +2,15 @@
 
 import hashlib
 import math
+import sys
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from spde2d import _kernels_py, kernels
 from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
 from spde2d.model import Mode, ModelParams, NoiseKind, eigenvalue
 from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
@@ -268,6 +272,145 @@ class TestFieldSynthesis:
         grid = SpaceTimeGrid(N=3, M1=3, M2=3)
         with pytest.raises(GridMismatchError):
             FieldSample(values=np.zeros((2, 2, 2)), grid=grid, provenance={})
+
+
+class TestTiledSweep:
+    """``kernels.ou_sweep``'s tiles, chunks and threads leave no trace in
+    the output: sha256 digests recorded before the sweep was tiled, when one
+    normal block was drawn per 4 steps and every state stepped and
+    projected in order on the calling thread."""
+
+    P = ModelParams(0.0, 0.2, 0.2, 0.2, 1.0, 0.5)
+
+    def _field_tiles(self):
+        # 9,216 streams: two chunks of the default size, three tiles of
+        # 28 steps for N = 61 (28, 28 and 5 steps)
+        return simulate_field(self.P, NoiseKind.Q1, SpaceTimeGrid(61, 6, 5),
+                              TruncationSpec(96, 96), seed=SEED, rep=2).values
+
+    def _field_short(self):
+        # 35 streams: one chunk, and N = 23 is shorter than one tile
+        return simulate_field(self.P, NoiseKind.Q1, SpaceTimeGrid(23, 6, 5),
+                              TruncationSpec(5, 7), seed=SEED).values
+
+    def _paths(self):
+        # 3 x 2,800 streams from a nonzero start: two chunks, two tiles
+        return simulate_coordinate_paths(
+            self.P, NoiseKind.Q1, SpaceTimeGrid(37, 4, 4),
+            TruncationSpec(40, 70),
+            InitialCondition({Mode(1, 1): 0.5, Mode(40, 70): -0.25,
+                              Mode(7, 3): 2.0}), SEED, reps=3, first_rep=4)
+
+    def _points(self):
+        return simulate_point_values(
+            self.P, NoiseKind.Q1, SpaceTimeGrid(45, 4, 4),
+            TruncationSpec(30, 20), [(0.25, 0.5), (0.5, 0.75)], SEED, reps=5,
+            first_rep=1)
+
+    DIGESTS = {
+        "_field_tiles":
+            "1cd6d3910748db9bcf91bd388ec5d0753a2ec0f26358f075244b2f7ac56852b4",
+        "_field_short":
+            "7c81c5315d9b9d1d8069cc8bdad7e8fae4c778f1c9516f28d3297253b70e6698",
+        "_paths":
+            "0f6e238ce8512f46cb5cb1a593b482a3723dd3c1d291e081140ff55e154132cb",
+        "_points":
+            "7a76cbac4e7405bbd387cb02f8c4f35adea95e93faff72fa525329c68384f29f",
+    }
+
+    def test_cases_cover_tiles_and_chunks(self):
+        assert kernels.tile_steps(96 * 96) == 28
+        assert kernels.CHUNK < 96 * 96 < 2 * kernels.CHUNK
+        assert kernels.tile_steps(35) > 23
+        assert kernels.tile_steps(3 * 40 * 70) == 28
+        assert kernels.CHUNK < 3 * 40 * 70
+
+    # a chunk of 1,000 streams cuts every case but the shortest into
+    # several chunks, the last one short
+    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1000])
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_digest(self, case, threads, chunk, monkeypatch):
+        monkeypatch.setattr(kernels, "_threads", threads)
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        values = getattr(self, case)()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == \
+            self.DIGESTS[case]
+
+    def test_many_small_tiles(self, monkeypatch):
+        # 4-step tiles: every tile boundary is a counter-block boundary
+        expected = self._paths()
+        monkeypatch.setattr(kernels, "TILE_BYTES", 1)
+        assert kernels.tile_steps(3 * 40 * 70) == 4
+        assert np.array_equal(self._paths(), expected)
+
+    def test_words_follow_the_module_attribute(self, monkeypatch):
+        # the sweep reads kernels.philox_raw_block at call time: the NumPy
+        # words give the same field as the default ones (the compiled map
+        # where those are the compiled words), other words another field
+        expected = self._field_tiles()
+        monkeypatch.setattr(kernels, "philox_raw_block",
+                            _kernels_py.philox_raw_block)
+        assert np.array_equal(self._field_tiles(), expected)
+        monkeypatch.setattr(
+            kernels, "philox_raw_block",
+            lambda *args: ~_kernels_py.philox_raw_block(*args))
+        other = self._field_tiles()
+        assert np.all(np.isfinite(other))
+        assert not np.array_equal(other[1:], expected[1:])
+
+    def test_concurrent_sweeps_under_fast_switching(self, monkeypatch):
+        # more kernel threads than cores, four callers sharing one pool and
+        # frequent switches: every caller still gets its own tiles' states
+        monkeypatch.setattr(kernels, "_threads", 3)
+        monkeypatch.setattr(kernels, "_pool", (None, None))
+        monkeypatch.setattr(kernels, "CHUNK", 1000)
+        expected = self._paths()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as callers:
+                got = list(callers.map(lambda _: self._paths(), range(4),
+                                       timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for g in got:
+            assert np.array_equal(g, expected)
+
+    # three chunks, so the visits are shared: step 1 fails on the calling
+    # thread, step 9 on the pool's
+    @pytest.mark.parametrize("bad", [1, 9])
+    def test_failed_visit_raises_once_every_thread_is_done(self, bad,
+                                                           monkeypatch):
+        monkeypatch.setattr(kernels, "_threads", 2)
+        monkeypatch.setattr(kernels, "CHUNK", 4)
+        n, done = 10, []
+        ctr = np.arange(n, dtype=np.uint64)
+
+        def visit(i, state):
+            if i == bad:
+                raise ValueError(f"step {i}")
+            time.sleep(0.01)
+            done.append(i)
+
+        with pytest.raises(ValueError, match=f"step {bad}"):
+            kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), ctr, ctr,
+                             0, ctr, 9, visit)
+        count = len(done)
+        time.sleep(0.1)
+        assert len(done) == count
+
+    def test_visit_sees_every_state_once(self):
+        # the visits of a tile run on the kernel threads in any order
+        n, seen = 10, []
+        x = np.arange(1.0, n + 1)
+        ctr = np.arange(n, dtype=np.uint64)
+        kernels.ou_sweep(x, np.full(n, 0.5), np.zeros(n), ctr, ctr, 0, ctr,
+                         9, lambda i, s: seen.append((i, s.copy())))
+        assert sorted(i for i, _ in seen) == list(range(10))
+        for i, s in seen:
+            assert np.array_equal(s, np.arange(1.0, n + 1) * 0.5 ** i)
+        assert np.array_equal(x, np.arange(1.0, n + 1))
 
 
 class TestGridValidation:
