@@ -55,10 +55,10 @@ def test_blocks_advance_like_one_numpy_stream(philox_words):
     assert np.array_equal(got, expected)
 
 
-# the two largest sizes split into chunks over two threads, where fill runs
-# without the interpreter lock
+# the sizes above CHUNK split into chunks over two threads, where fill runs
+# without the interpreter lock; 16385 and 32775 straddle two and four chunks
 @pytest.mark.parametrize("n", [1, 7, 4096, kernels.CHUNK + 1,
-                               2 * kernels.CHUNK + 7])
+                               2 * kernels.CHUNK + 7, 16385, 32775])
 def test_compiled_words_and_normals_bit_identical(compiled_words, n, rng,
                                                   monkeypatch):
     c2 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
@@ -97,9 +97,11 @@ def _edge_streams(n):
 
 
 @pytest.mark.parametrize("threads", [1, 2])
+# besides the edges of one chunk, the sizes around field_io's 16384 streams
+# and one past four chunks
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
-                               65536])
+                               16383, 16384, 16385, 32775, 65536])
 def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
     # the split into chunks and threads must not show in the output
     monkeypatch.setattr(kernels, "_threads", threads)
