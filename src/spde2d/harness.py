@@ -1,6 +1,8 @@
 """Seeded Monte Carlo orchestration of the simulate -> estimate pipeline.
 
-One replication simulates a field, computes the squared-increment
+One replication simulates what estimation reads of a field, its
+observation record: the values at the interior thinning at every time and
+the slices at the coarse times.  It computes the squared-increment
 statistic on the interior thinning, fits (scale, kappa, eta) by minimum
 contrast, reconstructs the (1,1) and (1,2) coordinate paths on the coarse
 time grid, and applies the plug-in for the configured noise case.
@@ -26,8 +28,10 @@ from .model import DerivedRatios, Mode, ModelParams, NoiseKind
 from .plugins import (PluginEstimates, q1_plugin, q2_known_plugin,
                       q2_unknown_plugin)
 from .reconstruct import approx_coordinate, build_time_thinning, realized_qv
-from .simulate import (FieldSample, RngSeed, SpaceTimeGrid, TruncationSpec,
-                       simulate_field)
+# simulate_field is not called here; perfbench's tracer swaps this name
+from .simulate import (FieldSample, Observation, RngSeed, SpaceTimeGrid,
+                       TruncationSpec, observe_sample, simulate_field,
+                       simulate_observation)
 
 
 @dataclass(frozen=True)
@@ -183,25 +187,27 @@ class ReplicationRecord:
         return d
 
 
-def estimate_field(config: ExperimentConfig, field_sample: FieldSample,
+def estimate_field(config: ExperimentConfig,
+                   observed: FieldSample | Observation,
                    rep_index: int = 0) -> ReplicationRecord:
-    """Run the estimation pipeline on an existing field."""
-    grid = field_sample.grid
+    """Run the estimation pipeline on a stored field or on its observation
+    record; both give the same record, bit for bit."""
+    grid = observed.grid
     if (grid.N, grid.M1, grid.M2) != (config.grid.N, config.grid.M1,
                                       config.grid.M2):
         raise GridMismatchError(
             f"field grid ({grid.N}, {grid.M1}, {grid.M2}) does not match "
             f"config grid ({config.grid.N}, {config.grid.M1}, {config.grid.M2})")
-    thin = build_space_thinning(grid.M1, grid.M2, config.thinning.mbar1,
-                                config.thinning.mbar2, config.thinning.delta)
-    zfield = squared_increment_field(field_sample, thin, config.params.alpha)
+    thin, tt = _thinnings(config)
+    obs = (observed if isinstance(observed, Observation) else
+           observe_sample(observed, thin.index_y, thin.index_z, tt.indices))
+    zfield = squared_increment_field(obs, thin, config.params.alpha)
     degenerate = bool(np.all(zfield.values == 0.0))
     fit = minimize_contrast(zfield, thin, config.params.alpha, config.contrast)
-    tt = build_time_thinning(grid.N, config.thinning.n)
-    path11 = approx_coordinate(field_sample, Mode(1, 1), fit.kappa_hat,
-                               fit.eta_hat, tt)
-    path12 = approx_coordinate(field_sample, Mode(1, 2), fit.kappa_hat,
-                               fit.eta_hat, tt)
+    path11 = approx_coordinate(obs, Mode(1, 1), fit.kappa_hat, fit.eta_hat,
+                               tt)
+    path12 = approx_coordinate(obs, Mode(1, 2), fit.kappa_hat, fit.eta_hat,
+                               tt)
     qv11 = realized_qv(path11).value
     qv12 = realized_qv(path12).value
     alpha = config.params.alpha
@@ -219,14 +225,24 @@ def estimate_field(config: ExperimentConfig, field_sample: FieldSample,
                              degenerate_input=degenerate)
 
 
+def _thinnings(config: ExperimentConfig):
+    """The space and time thinnings that estimation reads."""
+    c = config.thinning
+    return (build_space_thinning(config.grid.M1, config.grid.M2, c.mbar1,
+                                 c.mbar2, c.delta),
+            build_time_thinning(config.grid.N, c.n))
+
+
 def run_replication(config: ExperimentConfig, rep_index: int
                     ) -> ReplicationRecord:
     """Simulate and estimate one replication; deterministic in
-    (seed, rep_index)."""
-    field_sample = simulate_field(config.params, config.kind, config.grid,
-                                  config.trunc, seed=config.seed,
-                                  rep=rep_index)
-    return estimate_field(config, field_sample, rep_index)
+    (seed, rep_index).  Only the observation record is simulated, not the
+    field: the record equals that of ``simulate_field``'s field."""
+    thin, tt = _thinnings(config)
+    obs = simulate_observation(config.params, config.kind, config.grid,
+                               config.trunc, thin.index_y, thin.index_z,
+                               tt.indices, seed=config.seed, rep=rep_index)
+    return estimate_field(config, obs, rep_index)
 
 
 def _true_values(config: ExperimentConfig) -> dict[str, float]:

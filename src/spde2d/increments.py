@@ -21,7 +21,7 @@ from . import kernels
 from .errors import ConfigError, GridMismatchError, ThinningError
 from .model import (DerivedRatios, ModelParams, NoiseKind,
                     contrast_coefficient)
-from .simulate import (FieldSample, TruncationSpec, _factor_table, _modes,
+from .simulate import (Observation, TruncationSpec, _factor_table, _modes,
                        _mode_tables)
 
 
@@ -95,37 +95,48 @@ class SquaredIncrementField:
     thinning: SpaceThinning
 
 
-def squared_increment_field(field: FieldSample, thin: SpaceThinning,
+def squared_increment_field(obs: Observation, thin: SpaceThinning,
                             alpha: float) -> SquaredIncrementField:
-    """Accumulate all N squared time increments at the thinned points.
+    """Accumulate all N squared time increments at the thinned points of
+    an observation record.
 
     Accumulation is Kahan-compensated: the ``N^(alpha-1)`` normalization
     magnifies rounding of the raw sum when N is large.
     """
-    if thin.M1 != field.grid.M1 or thin.M2 != field.grid.M2:
+    if thin.M1 != obs.grid.M1 or thin.M2 != obs.grid.M2:
         raise GridMismatchError(
             f"thinning was built for ({thin.M1}, {thin.M2}) but the field "
-            f"grid is ({field.grid.M1}, {field.grid.M2})")
+            f"grid is ({obs.grid.M1}, {obs.grid.M2})")
+    if not (np.array_equal(thin.index_y, obs.index_y)
+            and np.array_equal(thin.index_z, obs.index_z)):
+        raise GridMismatchError("the record holds other points than the "
+                                "thinning's")
     if not (0 < alpha < 1):
         raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
-    sub = field.values[:, thin.index_y[:, None], thin.index_z[None, :]]
-    n_steps = field.grid.N
+    n_steps = obs.grid.N
+    rows = obs.points.reshape(n_steps + 1, -1)
     acc = np.zeros(thin.m1 * thin.m2, dtype=np.float64)
     comp = np.zeros_like(acc)
-    prev = np.ascontiguousarray(sub[0]).ravel()
     for i in range(1, n_steps + 1):
-        curr = np.ascontiguousarray(sub[i]).ravel()
-        kernels.sq_diff_accum(curr, prev, acc, comp)
-        prev = curr
+        kernels.sq_diff_accum(rows[i], rows[i - 1], acc, comp)
     values = acc.reshape(thin.m1, thin.m2) * n_steps ** (alpha - 1.0)
     return SquaredIncrementField(values=values, alpha=alpha, N=n_steps,
                                  thinning=thin)
 
 
+def _check_point(y: float, z: float) -> None:
+    for name, v in (("y", y), ("z", z)):
+        if not 0.0 <= v <= 1.0:  # false for nan too
+            raise ConfigError(f"{name} must be a finite number in [0, 1], "
+                              f"got {v!r}")
+
+
 def _oracle_tables(params: ModelParams, kind: NoiseKind,
                    trunc: TruncationSpec, y: float, z: float):
     """Per-mode denominators and squared eigenfunctions for the exact
-    mean of one squared increment (zero initial state)."""
+    mean of one squared increment (zero initial state) at a point of the
+    unit square."""
+    _check_point(y, z)
     lam, damp_base = _mode_tables(params, kind, trunc)
     denom = lam * damp_base ** params.alpha
     # Unit amplitude: the factor 2 * 2 is applied exactly after squaring,
@@ -172,6 +183,7 @@ def asymptotic_mean(params: ModelParams, kind: NoiseKind,
                     y: float, z: float) -> float:
     """Leading coefficient of the statistic's mean at an interior point:
     ``c(alpha) * scale * exp(-kappa y - eta z)``."""
+    _check_point(y, z)
     ratios = DerivedRatios.from_params(params)
     scale = ratios.S if kind.is_q2 else ratios.s
     return (contrast_coefficient(params.alpha) * scale

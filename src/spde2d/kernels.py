@@ -10,7 +10,8 @@ compensated sum.  So their output is bit-identical: only integer words can
 differ, and the tests compare those and the two maps.
 
 ``normal_block`` and ``ou_sweep`` cut the streams into chunks of ``CHUNK``
-and share contiguous runs of chunks among the process's kernel threads.
+(twice that for any words but the compiled ones) and share contiguous runs
+of chunks among the process's kernel threads.
 Philox is counter-based, so every stream's words depend on its own counter
 and key alone, as does its OU path: the output does not depend on the
 split.
@@ -36,13 +37,13 @@ BACKEND = _words.BACKEND_NAME
 philox_raw_block = _words.philox_raw_block
 
 
-# Streams per chunk, measured on a 2-vCPU x86-64 host with the compiled
-# words: a field at K=L=128 (16,384 streams) took 0.40 s in 8,192-stream
+# Streams per chunk of the compiled words, measured on a 2-vCPU x86-64
+# host: a field at K=L=128 (16,384 streams) took 0.40 s in 8,192-stream
 # chunks against 0.65 s in one 16,384-stream chunk, whose noise leaves the
 # second core idle; at K=L=256 both sizes took 1.6 s.  A chunk's normals
 # (256 KiB) stay in cache from the words through ndtri to the OU steps.
-# The NumPy words pay their many ufunc calls per chunk: at this size their
-# desk field took 4.3-5.0 s against 3.6-4.1 s in 16,384-stream chunks.
+# The NumPy words make ~170 ufunc calls per chunk, holding the interpreter
+# lock between them, and take chunks of 2 * CHUNK (``_chunk``).
 CHUNK = 8192
 
 # Bytes of OU states one tile of ``ou_sweep`` holds: 4 steps of 65,536
@@ -105,6 +106,18 @@ def _share(run, n, unit):
         f.result()
 
 
+def _compiled(words):
+    return BACKEND == "c" and words is _words.philox_raw_block
+
+
+def _chunk(words):
+    """Streams per chunk for ``words``: ``CHUNK`` for the compiled words,
+    ``2 * CHUNK`` for others.  A desk field on the NumPy words took a
+    median 4.1 s in 16,384-stream chunks against 5.3 s in 8,192-stream
+    ones on a 2-vCPU host (7 alternated runs each)."""
+    return CHUNK if _compiled(words) else 2 * CHUNK
+
+
 def normal_block(block, ctr2, ctr3, key0, key1):
     """Four standard normals per stream for one counter block, (n, 4).
 
@@ -112,15 +125,16 @@ def normal_block(block, ctr2, ctr3, key0, key1):
     the module attribute swaps the words.
     """
     words = philox_raw_block
+    chunk = _chunk(words)
     out = np.empty((len(ctr2), 4))
 
     def run(lo, hi):
-        for a in range(lo, hi, CHUNK):
-            b = min(a + CHUNK, hi)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
             normals(words(block, ctr2[a:b], ctr3[a:b], key0, key1[a:b]),
                     out=out[a:b])
 
-    _share(run, len(ctr2), CHUNK)
+    _share(run, len(ctr2), chunk)
     return out
 
 
@@ -128,7 +142,7 @@ def _uniform_fill(words):
     """``fill(block, ctr2, ctr3, key0, key1, out)`` writing the uniforms of
     ``words`` to a float64 ``(n, 4)`` ``out``: the compiled map when
     ``words`` are the compiled words, the NumPy one otherwise."""
-    if BACKEND == "c" and words is _words.philox_raw_block:
+    if _compiled(words):
         return _words.fill
 
     def fill(block, ctr2, ctr3, key0, key1, out):
@@ -159,7 +173,8 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
     only.  ``x`` is not modified.
     """
     n = len(x)
-    fill = _uniform_fill(philox_raw_block)
+    words = philox_raw_block
+    fill, chunk = _uniform_fill(words), _chunk(words)
     visit(0, x)
     rows = min(tile_steps(n), steps)
     tile = np.empty((rows, n))
@@ -168,10 +183,10 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
         count = min(rows, steps - first)
 
         def advance(lo, hi):
-            noise = np.empty((min(CHUNK, hi - lo), 4))
+            noise = np.empty((min(chunk, hi - lo), 4))
             for j in range(0, count, 4):
-                for a in range(lo, hi, CHUNK):
-                    b = min(a + CHUNK, hi)
+                for a in range(lo, hi, chunk):
+                    b = min(a + chunk, hi)
                     z = noise[:b - a]
                     fill((first + j) // 4, ctr2[a:b], ctr3[a:b], key0,
                          key1[a:b], z)
@@ -185,9 +200,9 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
             for t in range(lo, hi):
                 visit(first + t + 1, tile[t])
 
-        _share(advance, n, CHUNK)
+        _share(advance, n, chunk)
         # A tile of one chunk keeps its projections too: at K=L=8 to 64 on
         # a 50x50 grid they are too small to pay for the threads' handoffs
         # (a field took 27 against 21 ms at K=L=8, 184 against 165 ms at 64).
-        _share(project, count, 1 if n > CHUNK else count)
+        _share(project, count, 1 if n > chunk else count)
         prev = tile[-1]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .model import Mode
-from .simulate import FieldSample, _factor_table
+from .simulate import Observation, _factor_table
 
 
 @dataclass(frozen=True)
@@ -60,25 +60,28 @@ class VolatilityEstimate:
     n_used: int
 
 
-def approx_coordinate(field: FieldSample, mode: Mode, kappa_hat: float,
+def approx_coordinate(obs: Observation, mode: Mode, kappa_hat: float,
                       eta_hat: float, tt: TimeThinning) -> ApproxCoordinatePath:
-    """Riemann-sum reconstruction of one coordinate path at the coarse times.
+    """Riemann-sum reconstruction of one coordinate path at the coarse times,
+    from the lattice slices of an observation record.
 
     The sum runs over j1 = 1..M1, j2 = 1..M2 exactly; the index-0 boundary
     rows are excluded and the index-M terms vanish on the zero boundary.
-    Coarse times must be nodes of the field's grid.
     """
-    if tt.N != field.grid.N:
+    if tt.N != obs.grid.N:
         raise GridMismatchError(
             f"time thinning was built for N={tt.N} but the field has "
-            f"N={field.grid.N}")
+            f"N={obs.grid.N}")
+    if not np.array_equal(tt.indices, obs.coarse):
+        raise GridMismatchError("the record holds slices at other times than "
+                                "the time thinning's")
     k, l = mode
-    ys = field.grid.ys()[1:]
-    zs = field.grid.zs()[1:]
+    ys = obs.grid.ys()[1:]
+    zs = obs.grid.zs()[1:]
     wy = _factor_table(k, ys, -kappa_hat, amp=1.0)
     wz = _factor_table(l, zs, -eta_hat, amp=1.0)
-    sub = field.values[tt.indices][:, 1:, 1:]
-    m_total = field.grid.M1 * field.grid.M2
+    sub = obs.slices[:, 1:, 1:]
+    m_total = obs.grid.M1 * obs.grid.M2
     vals = (2.0 / m_total) * np.einsum("tij,i,j->t", sub, wy, wz)
     return ApproxCoordinatePath(mode=Mode(*mode), values=vals,
                                 times=tt.points.copy(),

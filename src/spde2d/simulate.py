@@ -2,7 +2,8 @@
 
 Each mode coefficient is an Ornstein-Uhlenbeck process sampled by its exact
 transition (no time-discretization bias); the field is the truncated
-eigenfunction series evaluated on the lattice.  Every mode owns an
+eigenfunction series evaluated on the lattice, and its observation record
+the part of it that estimation reads.  Every mode owns an
 independent counter-based noise stream keyed by ``(seed, replication)``
 with counter words ``(k, l)``, so results are reproducible bit-for-bit
 regardless of scheduling and the contribution of modes below a cutoff does
@@ -128,6 +129,25 @@ class FieldSample:
                 f"field shape {self.values.shape} does not match grid {expected}")
 
 
+@dataclass(frozen=True)
+class Observation:
+    """What estimation reads of a field.
+
+    ``points`` holds the values at the thinned points ``index_y x index_z``
+    at every time, shape ``(N+1, m1, m2)``; ``slices`` the full lattice at
+    the coarse time indices ``coarse``, shape ``(n+1, M1+1, M2+1)``.  Built
+    by ``observe_sample`` from a stored field, or by
+    ``simulate_observation`` without one.
+    """
+
+    points: np.ndarray
+    slices: np.ndarray
+    grid: SpaceTimeGrid
+    index_y: np.ndarray
+    index_z: np.ndarray
+    coarse: np.ndarray
+
+
 def _modes(n: int) -> np.ndarray:
     return np.arange(1, n + 1, dtype=np.float64)
 
@@ -175,12 +195,14 @@ def _stream_words(trunc: TruncationSpec):
 
 def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
            trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
-           reps: range, project, rows: np.ndarray) -> None:
-    """Write ``project(state)`` of the ``(len(reps), K*L)`` mode state at
-    t_i to ``rows[:, i]``, for i = 0, ..., N.
+           reps: range, visit) -> None:
+    """Call ``visit(i, states)`` with the ``(len(reps), K*L)`` mode states
+    at t_i, for i = 0, ..., N.
 
-    Row ``r`` of ``state`` is replication ``reps[r]``, whose noise streams
-    are keyed by ``(seed, reps[r])``.
+    Row ``r`` of ``states`` is replication ``reps[r]``, whose noise streams
+    are keyed by ``(seed, reps[r])``.  ``visit`` runs on the kernel
+    threads, several steps at once and in any order; ``states`` is valid
+    for the call only.
     """
     lam, damp_base = _mode_tables(params, kind, trunc)
     gamma = params.sigma * damp_base ** (-0.5 * params.alpha)
@@ -197,12 +219,25 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     x = np.zeros(n_reps * trunc.n_modes)
     if init.coefficients:
         x.reshape(n_reps, trunc.n_modes)[:] = init.dense(trunc).ravel()
+    kernels.ou_sweep(
+        x, decay, scale, c2, c3, seed.master, key1, grid.N,
+        lambda i, state: visit(i, state.reshape(n_reps, trunc.n_modes)))
 
-    def visit(i, state):
-        rows[:, i] = project(state.reshape(n_reps, trunc.n_modes))
 
-    kernels.ou_sweep(x, decay, scale, c2, c3, seed.master, key1, grid.N,
-                     visit)
+def _check_request(first_rep: int, n_reps: int, nbytes: int,
+                   what: str) -> None:
+    """Refuse replications outside the 64-bit stream keys and ``nbytes`` of
+    output above ``MEMORY_BUDGET``, before anything is allocated."""
+    if n_reps < 1:
+        raise ConfigError(f"reps must be >= 1, got {n_reps}")
+    if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
+        raise ConfigError(
+            f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
+            f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
+    if nbytes > MEMORY_BUDGET:
+        raise MemoryBudgetError(
+            f"{what} needs {nbytes} bytes, exceeding the budget of "
+            f"{MEMORY_BUDGET}; shrink the request")
 
 
 def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
@@ -218,23 +253,47 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     against ``MEMORY_BUDGET`` before anything is allocated, and chunks of
     at most about 2M noise streams bound the working memory of a sweep.
     """
-    if n_reps < 1:
-        raise ConfigError(f"reps must be >= 1, got {n_reps}")
-    if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
-        raise ConfigError(
-            f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
-            f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
-    nbytes = 8 * n_reps * (grid.N + 1) * math.prod(shape)
-    if nbytes > MEMORY_BUDGET:
-        raise MemoryBudgetError(
-            f"{what} needs {nbytes} bytes, exceeding the budget of "
-            f"{MEMORY_BUDGET}; shrink the request")
+    _check_request(first_rep, n_reps,
+                   8 * n_reps * (grid.N + 1) * math.prod(shape), what)
     out = np.empty((n_reps, grid.N + 1, *shape), dtype=np.float64)
     chunk = max(1, (1 << 21) // trunc.n_modes)
     for r0 in range(0, n_reps, chunk):
         rows = out[r0:r0 + chunk]
         reps = range(first_rep + r0, first_rep + r0 + len(rows))
-        _sweep(params, kind, grid, trunc, init, seed, reps, project, rows)
+
+        def visit(i, states):
+            rows[:, i] = project(states)
+
+        _sweep(params, kind, grid, trunc, init, seed, reps, visit)
+    return out
+
+
+def _lattice_tables(params: ModelParams, grid: SpaceTimeGrid,
+                    trunc: TruncationSpec):
+    """Eigenfunction factor tables ``eyT`` (M1+1, K) and ``ez`` (L, M2+1)
+    of the lattice: the field slice of mode state ``x`` is ``eyT @ x @
+    ez``."""
+    eyT = np.ascontiguousarray(
+        _factor_table(_modes(trunc.K), grid.ys(), params.kappa).T)
+    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
+    return eyT, ez
+
+
+def _observed_indices(grid: SpaceTimeGrid, index_y, index_z, coarse):
+    """The indices of an observation record as int64 arrays: lattice
+    indices in y and z, and strictly increasing time indices."""
+    out = []
+    for name, idx, top in (("index_y", index_y, grid.M1),
+                           ("index_z", index_z, grid.M2),
+                           ("coarse", coarse, grid.N)):
+        a = np.asarray(idx)
+        if not (a.ndim == 1 and (a.size == 0 or a.dtype.kind in "iu")
+                and np.all((a >= 0) & (a <= top))):
+            raise ConfigError(f"{name} must be integers in [0, {top}], "
+                              f"got {idx!r}")
+        out.append(a.astype(np.int64))
+    if np.any(np.diff(out[2]) <= 0):
+        raise ConfigError(f"coarse must increase strictly, got {coarse!r}")
     return out
 
 
@@ -282,15 +341,77 @@ def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     matrix is never materialized.  Slice ``i`` is ``ey^T @ x_i @ ez`` with
     the eigenfunction factor tables ``ey`` and ``ez`` of the lattice.
     """
-    eyT = np.ascontiguousarray(
-        _factor_table(_modes(trunc.K), grid.ys(), params.kappa).T)
-    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
+    eyT, ez = _lattice_tables(params, grid, trunc)
     values = _observe(params, kind, grid, trunc, init, seed, rep, 1,
                       (grid.M1 + 1, grid.M2 + 1),
                       lambda x: eyT @ x.reshape(trunc.K, trunc.L) @ ez,
                       "field sample")
     return FieldSample(values=values[0], grid=grid,
                        provenance=_provenance(params, kind, trunc, seed, rep))
+
+
+def observe_sample(field: FieldSample, index_y, index_z,
+                   coarse) -> Observation:
+    """The observation record of a stored field: its values at the points
+    ``index_y x index_z`` at every time and its slices at the time indices
+    ``coarse``."""
+    index_y, index_z, coarse = _observed_indices(field.grid, index_y,
+                                                 index_z, coarse)
+    return Observation(
+        points=np.ascontiguousarray(
+            field.values[:, index_y[:, None], index_z]),
+        slices=field.values[coarse], grid=field.grid, index_y=index_y,
+        index_z=index_z, coarse=coarse)
+
+
+def simulate_observation(params: ModelParams, kind: NoiseKind,
+                         grid: SpaceTimeGrid, trunc: TruncationSpec,
+                         index_y, index_z, coarse,
+                         init: InitialCondition = ZERO_INITIAL,
+                         seed: RngSeed = RngSeed(0), *, rep: int = 0
+                         ) -> Observation:
+    """``observe_sample(simulate_field(..., rep=rep), index_y, index_z,
+    coarse)``, bit for bit, without the field.
+
+    It runs ``simulate_field``'s sweep with a projection that knows the
+    step.  At a fine step it projects the mode state onto the rows of the
+    points alone, ``(eyT[index_y] @ x @ ez)[:, index_z]``, at m1 (K + M2+1)
+    L multiply-adds instead of the (M1+1) (K + M2+1) L of a slice; at a
+    coarse step it projects onto the whole lattice, ``eyT @ x @ ez``, and
+    takes the points from that slice.
+
+    The restricted product equals the slice at the points only as far as
+    the BLAS computes each element of a product alike whatever the other
+    rows: the tests pin it on every step of the shapes they and the
+    benchmark run.  Restricting the columns too (``ez[:, index_z]``) does
+    not: with OpenBLAS 0.3.31 on AVX-512 it differed in the last bit on
+    most steps at K=L=64 to 256.
+    """
+    index_y, index_z, coarse = _observed_indices(grid, index_y, index_z,
+                                                 coarse)
+    shape = (grid.M1 + 1, grid.M2 + 1)
+    points_shape = (grid.N + 1, len(index_y), len(index_z))
+    _check_request(rep, 1, 8 * (math.prod(points_shape)
+                                + len(coarse) * math.prod(shape)),
+                   "observation record")
+    points = np.empty(points_shape)
+    slices = np.empty((len(coarse), *shape))
+    slot = dict(zip(coarse.tolist(), range(len(coarse))))
+    eyT, ez = _lattice_tables(params, grid, trunc)
+    eyT_points = eyT[index_y]
+
+    def visit(i, states):
+        x = states.reshape(trunc.K, trunc.L)
+        c = slot.get(i)
+        if c is None:
+            points[i] = (eyT_points @ x @ ez)[:, index_z]
+        else:
+            slices[c] = eyT @ x @ ez
+            points[i] = slices[c][index_y[:, None], index_z]
+
+    _sweep(params, kind, grid, trunc, init, seed, range(rep, rep + 1), visit)
+    return Observation(points=points, slices=slices, grid=grid,
+                       index_y=index_y, index_z=index_z, coarse=coarse)
 
 
 def simulate_point_values(params: ModelParams, kind: NoiseKind,

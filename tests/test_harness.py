@@ -374,19 +374,23 @@ class TestCli:
         assert os.path.exists(os.path.join(out, "cross_section_t_0.5.csv"))
 
     def test_estimate_matches_replication(self, tmp_path):
-        # estimate on a dumped field reproduces the in-process record
-        cfg_path = self._write_config(tmp_path)
-        out = str(tmp_path)
-        assert cli_main(["simulate", "--config", cfg_path, "--rep", "0",
-                         "--out-dir", out]) == 0
-        assert cli_main(["estimate", "--config", cfg_path, "--field",
-                         os.path.join(out, "field.bin"),
-                         "--out-dir", out]) == 0
-        with open(os.path.join(out, "estimate.json")) as fh:
-            record = json.load(fh)
-        direct = run_replication(ExperimentConfig.from_dict(SMALL), 0)
-        assert record["kappa_hat"] == direct.fit.kappa_hat
-        assert record["theta2"] == direct.estimates.theta2
+        # estimate on a dumped field reproduces the in-process record, which
+        # run_replication computes from an observation record alone
+        for kind in ("q1", "q2-known-mu0", "q2-unknown-mu0"):
+            config = {**SMALL, "kind": kind,
+                      "params": {**SMALL["params"], "mu0": 0.5}}
+            cfg_path = tmp_path / f"{kind}.json"
+            cfg_path.write_text(json.dumps(config))
+            out = str(tmp_path / kind)
+            assert cli_main(["simulate", "--config", str(cfg_path), "--rep",
+                             "0", "--out-dir", out]) == 0
+            assert cli_main(["estimate", "--config", str(cfg_path),
+                             "--field", os.path.join(out, "field.bin"),
+                             "--out-dir", out]) == 0
+            with open(os.path.join(out, "estimate.json")) as fh:
+                record = json.load(fh)
+            direct = run_replication(ExperimentConfig.from_dict(config), 0)
+            assert record == direct.to_dict(), kind
 
     def test_mc_outputs(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -548,6 +552,18 @@ class TestCli:
                          "--out-dir", str(tmp_path)]) == 1
         assert capsys.readouterr().err == (
             "error: --i takes comma-separated integers, got '1,x'\n")
+        assert not os.path.exists(tmp_path / "oracle.csv")
+
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.1", "2"])
+    def test_oracle_refuses_a_point_off_the_square(self, tmp_path, capsys,
+                                                    axis, value):
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["oracle", "--config", cfg, f"--{axis}", value,
+                         "--i", "1", "--out-dir", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {axis} must be a finite number in [0, 1], got "
+            f"{float(value)!r}\n")
         assert not os.path.exists(tmp_path / "oracle.csv")
 
     @pytest.mark.parametrize("threads", ["0", "-3"])

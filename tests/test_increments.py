@@ -12,13 +12,17 @@ from spde2d.increments import (asymptotic_mean, build_space_thinning,
                                squared_increment_field)
 from spde2d.model import ModelParams, NoiseKind
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, simulate_field)
+                             TruncationSpec, observe_sample, simulate_field)
 
 SEED = RngSeed(271828)
 
 
 def _const_field(values, grid):
     return FieldSample(values=values, grid=grid, provenance={})
+
+
+def _observed(field, thin):
+    return observe_sample(field, thin.index_y, thin.index_z, [0])
 
 
 class TestSpaceThinning:
@@ -65,7 +69,8 @@ class TestSquaredIncrementField:
         values = np.tile(np.random.default_rng(0).normal(
             size=(1, 11, 11)), (9, 1, 1))
         thin = build_space_thinning(10, 10, 5, 5, 0.2)
-        z = squared_increment_field(_const_field(values, grid), thin, 0.5)
+        obs = _observed(_const_field(values, grid), thin)
+        z = squared_increment_field(obs, thin, 0.5)
         assert np.all(z.values == 0.0)
 
     def test_single_increment_normalization(self):
@@ -74,7 +79,8 @@ class TestSquaredIncrementField:
         values = np.zeros((2, 11, 11))
         values[1] = 3.0
         thin = build_space_thinning(10, 10, 5, 5, 0.2)
-        z = squared_increment_field(_const_field(values, grid), thin, 0.7)
+        obs = _observed(_const_field(values, grid), thin)
+        z = squared_increment_field(obs, thin, 0.7)
         assert np.allclose(z.values, 9.0, rtol=0, atol=0)
 
     def test_linear_ramp_hand_value(self):
@@ -84,7 +90,8 @@ class TestSquaredIncrementField:
         values = np.broadcast_to(
             (np.arange(5) / 4.0)[:, None, None], (5, 11, 11)).copy()
         thin = build_space_thinning(10, 10, 5, 5, 0.2)
-        z = squared_increment_field(_const_field(values, grid), thin, 0.5)
+        obs = _observed(_const_field(values, grid), thin)
+        z = squared_increment_field(obs, thin, 0.5)
         assert np.allclose(z.values, 0.125, rtol=1e-15)
 
     def test_nonnegative_on_simulated_field(self, reference_params):
@@ -92,16 +99,26 @@ class TestSquaredIncrementField:
         field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                TruncationSpec(K=16, L=16), seed=SEED)
         thin = build_space_thinning(10, 10, 5, 5, 0.2)
-        z = squared_increment_field(field, thin, 0.5)
+        z = squared_increment_field(_observed(field, thin), thin, 0.5)
         assert np.all(z.values >= 0.0)
         assert z.N == 50
 
     def test_grid_mismatch_rejected(self, reference_params):
         grid = SpaceTimeGrid(N=4, M1=10, M2=10)
         thin = build_space_thinning(20, 20, 5, 5, 0.2)
-        field = _const_field(np.zeros((5, 11, 11)), grid)
+        obs = _observed(_const_field(np.zeros((5, 11, 11)), grid),
+                        build_space_thinning(10, 10, 5, 5, 0.2))
         with pytest.raises(GridMismatchError):
-            squared_increment_field(field, thin, 0.5)
+            squared_increment_field(obs, thin, 0.5)
+
+    def test_points_of_another_thinning_rejected(self):
+        # same grid, other points: the record cannot stand for this thinning
+        grid = SpaceTimeGrid(N=4, M1=10, M2=10)
+        field = _const_field(np.zeros((5, 11, 11)), grid)
+        obs = _observed(field, build_space_thinning(10, 10, 5, 5, 0.2))
+        with pytest.raises(GridMismatchError, match="other points"):
+            squared_increment_field(
+                obs, build_space_thinning(10, 10, 5, 5, 0.3), 0.5)
 
 
 class TestIncrementOracle:
@@ -182,6 +199,44 @@ class TestIncrementOracle:
             expected_squared_increment_oracle(
                 reference_params, NoiseKind.Q1, 9, 8, 0.5, 0.5,
                 TruncationSpec(K=2, L=2))
+
+
+class TestOraclePoint:
+    """The oracles take a point of the closed unit square; any other y or
+    z, nan and inf included, is a ConfigError."""
+
+    TRUNC = TruncationSpec(K=4, L=4)
+
+    def _all(self, params, y, z):
+        return (expected_squared_increment_oracle(
+                    params, NoiseKind.Q1, 1, 8, y, z, self.TRUNC),
+                expected_squared_increment_total(
+                    params, NoiseKind.Q1, 8, y, z, self.TRUNC),
+                asymptotic_mean(params, NoiseKind.Q1, y, z))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1,
+                                     2.0])
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_off_square_point_rejected(self, reference_params, bad, axis):
+        y, z = (bad, 0.5) if axis == "y" else (0.5, bad)
+        calls = (
+            lambda: expected_squared_increment_oracle(
+                reference_params, NoiseKind.Q1, 1, 8, y, z, self.TRUNC),
+            lambda: expected_squared_increment_total(
+                reference_params, NoiseKind.Q1, 8, y, z, self.TRUNC),
+            lambda: asymptotic_mean(reference_params, NoiseKind.Q1, y, z))
+        for call in calls:
+            with pytest.raises(ConfigError, match=f"{axis} must be"):
+                call()
+
+    @pytest.mark.parametrize("y,z", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0),
+                                     (0.5, 1.0), (0.0, 1.0)])
+    def test_endpoints_accepted(self, reference_params, y, z):
+        exact, total, limit = self._all(reference_params, y, z)
+        # the eigenfunctions vanish on the boundary, the limit does not
+        assert exact == pytest.approx(0.0, abs=1e-30)
+        assert total == pytest.approx(0.0, abs=1e-30)
+        assert limit > 0.0
 
 
 class TestAsymptoticMean:

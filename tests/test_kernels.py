@@ -111,6 +111,28 @@ def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
                               pyk.normal_block(block, c2, c3, key0, k1))
 
 
+def test_chunk_follows_the_word_source():
+    # the NumPy words hold the interpreter lock between ~170 ufunc calls
+    # per chunk, and take chunks twice as large as the compiled words
+    assert kernels.CHUNK == 8192
+    assert kernels._chunk(pyk.philox_raw_block) == 16384
+    if kernels.BACKEND == "c":
+        assert kernels._chunk(kernels.philox_raw_block) == 8192
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+# the edges of one and of several 16,384-stream chunks
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 32775, 65536])
+def test_chunked_normal_block_bit_identical_on_numpy_words(n, threads,
+                                                           monkeypatch):
+    monkeypatch.setattr(kernels, "_threads", threads)
+    monkeypatch.setattr(kernels, "philox_raw_block", pyk.philox_raw_block)
+    c2, c3, k1 = _edge_streams(n)
+    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
+        assert np.array_equal(kernels.normal_block(block, c2, c3, key0, k1),
+                              pyk.normal_block(block, c2, c3, key0, k1))
+
+
 def test_concurrent_callers_under_fast_switching(monkeypatch):
     # more threads than cores, a fresh pool raced for by four callers, and
     # frequent switches: every caller still gets the reference block

@@ -11,10 +11,20 @@ from spde2d.model import Mode, NoiseKind, eigenvalue
 from spde2d.reconstruct import (ApproxCoordinatePath, approx_coordinate,
                                 build_time_thinning, realized_qv)
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, simulate_coordinate_paths,
-                             simulate_field)
+                             TruncationSpec, observe_sample,
+                             simulate_coordinate_paths, simulate_field)
 
 SEED = RngSeed(555)
+
+
+def _observed(field, tt):
+    return observe_sample(field, [1], [1], tt.indices)
+
+
+def _reconstruct(field, mode, kappa_hat, eta_hat, tt):
+    """``approx_coordinate`` on the observation record of ``field``."""
+    return approx_coordinate(_observed(field, tt), mode, kappa_hat, eta_hat,
+                             tt)
 
 
 class TestTimeThinning:
@@ -46,7 +56,7 @@ class TestApproxCoordinate:
         field = FieldSample(values=np.zeros((11, 9, 9)), grid=grid,
                             provenance={})
         tt = build_time_thinning(10, 5)
-        path = approx_coordinate(field, Mode(1, 1), 1.0, 1.0, tt)
+        path = _reconstruct(field, Mode(1, 1), 1.0, 1.0, tt)
         assert np.all(path.values == 0.0)
         assert path.values.shape == (6,)
 
@@ -60,8 +70,8 @@ class TestApproxCoordinate:
         field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                trunc, seed=SEED)
         tt = build_time_thinning(4, 4)
-        rec = approx_coordinate(field, Mode(1, 1), reference_params.kappa,
-                                reference_params.eta, tt)
+        rec = _reconstruct(field, Mode(1, 1), reference_params.kappa,
+                           reference_params.eta, tt)
         assert np.allclose(rec.values, paths[0, 0], rtol=1e-12, atol=1e-14)
 
     def test_quadrature_error_vanishes_with_resolution(self, reference_params):
@@ -80,9 +90,9 @@ class TestApproxCoordinate:
             field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                    trunc, seed=SEED)
             tt = build_time_thinning(4, 4)
-            rec = approx_coordinate(field, Mode(1, 1),
-                                    reference_params.kappa + 0.2,
-                                    reference_params.eta, tt)
+            rec = _reconstruct(field, Mode(1, 1),
+                               reference_params.kappa + 0.2,
+                               reference_params.eta, tt)
             ratio = rec.values[1:] / paths[0, 0, 1:]
             errs[m] = np.max(np.abs(ratio - factor))
         assert errs[100] < errs[50]
@@ -100,8 +110,8 @@ class TestApproxCoordinate:
         field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                trunc, seed=SEED)
         tt = build_time_thinning(4, 4)
-        rec = approx_coordinate(field, Mode(1, 1), reference_params.kappa + 0.1,
-                                reference_params.eta, tt)
+        rec = _reconstruct(field, Mode(1, 1), reference_params.kappa + 0.1,
+                           reference_params.eta, tt)
         factor, _ = quad(lambda y: 2.0 * math.sin(math.pi * y) ** 2
                          * math.exp(0.05 * y), 0.0, 1.0)
         ratio = rec.values[1:] / paths[0, 0, tt.indices][1:]
@@ -115,18 +125,28 @@ class TestApproxCoordinate:
         fa = FieldSample(values=a, grid=grid, provenance={})
         fb = FieldSample(values=b, grid=grid, provenance={})
         fab = FieldSample(values=a + 2.0 * b, grid=grid, provenance={})
-        pa = approx_coordinate(fa, Mode(1, 2), 0.3, 0.7, tt).values
-        pb = approx_coordinate(fb, Mode(1, 2), 0.3, 0.7, tt).values
-        pab = approx_coordinate(fab, Mode(1, 2), 0.3, 0.7, tt).values
+        pa = _reconstruct(fa, Mode(1, 2), 0.3, 0.7, tt).values
+        pb = _reconstruct(fb, Mode(1, 2), 0.3, 0.7, tt).values
+        pab = _reconstruct(fab, Mode(1, 2), 0.3, 0.7, tt).values
         assert np.allclose(pab, pa + 2.0 * pb, rtol=1e-12, atol=1e-14)
 
     def test_grid_mismatch_rejected(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=4, M2=4)
         field = FieldSample(values=np.zeros((11, 5, 5)), grid=grid,
                             provenance={})
+        obs = _observed(field, build_time_thinning(10, 5))
         tt = build_time_thinning(20, 5)
         with pytest.raises(GridMismatchError):
-            approx_coordinate(field, Mode(1, 1), 0.0, 0.0, tt)
+            approx_coordinate(obs, Mode(1, 1), 0.0, 0.0, tt)
+
+    def test_slices_of_other_times_rejected(self):
+        grid = SpaceTimeGrid(N=10, M1=4, M2=4)
+        field = FieldSample(values=np.zeros((11, 5, 5)), grid=grid,
+                            provenance={})
+        obs = _observed(field, build_time_thinning(10, 5))
+        with pytest.raises(GridMismatchError, match="other times"):
+            approx_coordinate(obs, Mode(1, 1), 0.0, 0.0,
+                              build_time_thinning(10, 2))
 
 
 class TestRealizedQv:

@@ -13,9 +13,11 @@ import pytest
 from spde2d import _kernels_py, kernels
 from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
 from spde2d.model import Mode, ModelParams, NoiseKind, eigenvalue
+from spde2d.harness import ExperimentConfig, _thinnings
 from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
                              SpaceTimeGrid, TruncationSpec, _factor_table,
-                             simulate_coordinate_paths, simulate_field,
+                             observe_sample, simulate_coordinate_paths,
+                             simulate_field, simulate_observation,
                              simulate_point_values)
 
 SEED = RngSeed(314159)
@@ -337,6 +339,19 @@ class TestTiledSweep:
         assert hashlib.sha256(values.tobytes()).hexdigest() == \
             self.DIGESTS[case]
 
+    # the NumPy words cut the streams into chunks of 2 * CHUNK: one chunk
+    # of 16,384 or several of 2,000 streams
+    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1000])
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_digest_on_numpy_words(self, case, chunk, monkeypatch):
+        monkeypatch.setattr(kernels, "_threads", 2)
+        monkeypatch.setattr(kernels, "CHUNK", chunk)
+        monkeypatch.setattr(kernels, "philox_raw_block",
+                            _kernels_py.philox_raw_block)
+        values = getattr(self, case)()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == \
+            self.DIGESTS[case]
+
     def test_many_small_tiles(self, monkeypatch):
         # 4-step tiles: every tile boundary is a counter-block boundary
         expected = self._paths()
@@ -411,6 +426,95 @@ class TestTiledSweep:
         for i, s in seen:
             assert np.array_equal(s, np.arange(1.0, n + 1) * 0.5 ** i)
         assert np.array_equal(x, np.arange(1.0, n + 1))
+
+
+class TestObservation:
+    """``simulate_observation`` projects fine steps onto the rows of the
+    thinned points only; its record must equal the one indexed from
+    ``simulate_field``'s field on every step."""
+
+    # (config overrides, replication): perfbench's tiny config (every step
+    # coarse), tier-1's small harness config, and the N=1000, 50x50 grid at
+    # the truncations of perfbench's field_io and desk_rep
+    SHAPES = {
+        "tiny_K8_N100": ({"grid": {"N": 100}, "truncation": {"K": 8, "L": 8}},
+                         0),
+        "small_K8_N40": ({"grid": {"N": 40, "M1": 10, "M2": 10},
+                          "truncation": {"K": 8, "L": 8},
+                          "thinning": {"mbar1": 5, "mbar2": 5, "n": 20}}, 1),
+        "K128_N1000": ({"truncation": {"K": 128, "L": 128}}, 2),
+        "K256_N1000": ({}, 3),
+    }
+
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_sweep_record_equals_indexed_field(self, shape):
+        overrides, rep = self.SHAPES[shape]
+        cfg = ExperimentConfig.from_dict({**overrides, "seed": 11})
+        thin, tt = _thinnings(cfg)
+        args = (cfg.params, cfg.kind, cfg.grid, cfg.trunc)
+        field = simulate_field(*args, seed=cfg.seed, rep=rep)
+        want = observe_sample(field, thin.index_y, thin.index_z, tt.indices)
+        del field
+        got = simulate_observation(*args, thin.index_y, thin.index_z,
+                                   tt.indices, seed=cfg.seed, rep=rep)
+        assert got.points.shape == (cfg.grid.N + 1, thin.m1, thin.m2)
+        assert got.slices.shape == (cfg.thinning.n + 1, cfg.grid.M1 + 1,
+                                    cfg.grid.M2 + 1)
+        for i in range(cfg.grid.N + 1):
+            assert np.array_equal(got.points[i], want.points[i]), i
+        assert np.array_equal(got.slices, want.slices)
+        for name in ("index_y", "index_z", "coarse"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+    def test_nonzero_start(self, reference_params):
+        grid = SpaceTimeGrid(N=9, M1=6, M2=4)
+        trunc = TruncationSpec(K=5, L=3)
+        init = InitialCondition({Mode(1, 1): 0.5, Mode(5, 3): -2.0})
+        where = ([1, 3, 5], [2], [0, 4, 9])
+        field = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
+                               init, SEED, rep=4)
+        want = observe_sample(field, *where)
+        got = simulate_observation(reference_params, NoiseKind.Q1, grid,
+                                   trunc, *where, init, SEED, rep=4)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.slices, want.slices)
+
+    @pytest.mark.parametrize("where", [
+        ([0, 7], [1], [0]), ([-1], [1], [0]), ([1], [5], [0]),
+        ([1], [1], [10]), ([1], [1], [2, 2]), ([1], [1], [3, 1]),
+        ([1.0], [1], [0]), ([[1]], [1], [0])])
+    def test_bad_indices_rejected(self, reference_params, where):
+        grid = SpaceTimeGrid(N=9, M1=6, M2=4)
+        field = FieldSample(values=np.zeros((10, 7, 5)), grid=grid,
+                            provenance={})
+        with pytest.raises(ConfigError, match="must"):
+            observe_sample(field, *where)
+        with pytest.raises(ConfigError, match="must"):
+            simulate_observation(reference_params, NoiseKind.Q1, grid,
+                                 TruncationSpec(K=2, L=2), *where, seed=SEED)
+
+    def test_replication_range_checked(self, reference_params):
+        with pytest.raises(ConfigError, match="must lie in"):
+            simulate_observation(reference_params, NoiseKind.Q1,
+                                 SpaceTimeGrid(N=2, M1=2, M2=2),
+                                 TruncationSpec(K=2, L=2), [1], [1], [0],
+                                 seed=SEED, rep=-1)
+
+    def test_memory_budget_enforced(self, reference_params):
+        # 10^9 steps of one point and one 3x3 slice: 8 GB, refused before
+        # any allocation
+        tracemalloc.start()
+        try:
+            with pytest.raises(MemoryBudgetError,
+                               match="observation record needs 8000000080 "):
+                simulate_observation(reference_params, NoiseKind.Q1,
+                                     SpaceTimeGrid(N=10 ** 9, M1=2, M2=2),
+                                     TruncationSpec(K=1, L=1), [1], [1], [0],
+                                     seed=SEED)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestGridValidation:
