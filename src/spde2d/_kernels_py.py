@@ -89,11 +89,10 @@ def uniforms(raw, out=None):
     return np.multiply(out, _U53, out=out)
 
 
-def normals(raw, out=None):
-    """Standard normals from raw Philox words by the inverse-CDF map,
-    written to ``out`` (a float64 array of ``raw``'s shape) when given."""
-    out = uniforms(raw, out)
-    return ndtri(out, out=out)
+def normals(raw):
+    """Standard normals from raw Philox words by the inverse-CDF map."""
+    u = uniforms(raw)
+    return ndtri(u, out=u)
 
 
 def normal_block(block, ctr2, ctr3, key0, key1):

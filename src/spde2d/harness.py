@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -153,10 +154,15 @@ def default_config() -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
+    """The configuration in the UTF-8 JSON file at ``path``; raises
+    ``ConfigError`` for a directory or a file that is not UTF-8 JSON, and
+    ``FileNotFoundError`` for no file."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{path} is a directory, not a configuration file")
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     return ExperimentConfig.from_dict(raw)
 
@@ -381,16 +387,18 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
     records are sorted before summarizing, so the output is byte-identical
     whatever the worker count.  Worker processes sidestep the interpreter
     lock; pin the BLAS pool to one thread per process when using several.
-    The caller's kernel threads are joined before the workers fork.
+    No more workers start than there are replications.  The caller's
+    kernel threads are joined before the workers fork.
     """
     if not (isinstance(threads, int) and threads >= 1):
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     indices = list(range(config.replications))
-    if threads == 1:
+    workers = min(threads, len(indices))
+    if workers == 1:
         records = [run_replication(config, r) for r in indices]
     else:
         kernels.drop_pool()
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(run_replication,
                                     [config] * len(indices), indices))
     records.sort(key=lambda rec: rec.rep_index)

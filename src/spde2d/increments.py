@@ -21,8 +21,8 @@ from . import kernels
 from .errors import ConfigError, GridMismatchError, ThinningError
 from .model import (DerivedRatios, ModelParams, NoiseKind,
                     contrast_coefficient)
-from .simulate import (Observation, TruncationSpec, _factor_table, _modes,
-                       _mode_tables)
+from .simulate import (Observation, TruncationSpec, _check_point,
+                       _factor_table, _modes, _mode_tables)
 
 
 @dataclass(frozen=True)
@@ -122,13 +122,6 @@ def squared_increment_field(obs: Observation, thin: SpaceThinning,
     values = acc.reshape(thin.m1, thin.m2) * n_steps ** (alpha - 1.0)
     return SquaredIncrementField(values=values, alpha=alpha, N=n_steps,
                                  thinning=thin)
-
-
-def _check_point(y: float, z: float) -> None:
-    for name, v in (("y", y), ("z", z)):
-        if not 0.0 <= v <= 1.0:  # false for nan too
-            raise ConfigError(f"{name} must be a finite number in [0, 1], "
-                              f"got {v!r}")
 
 
 def _oracle_tables(params: ModelParams, kind: NoiseKind,

@@ -9,9 +9,10 @@ construction and so equal to it), ``ndtri``, the OU step and the
 compensated sum.  So their output is bit-identical: only integer words can
 differ, and the tests compare those and the two maps.
 
-``normal_block`` and ``ou_sweep`` cut the streams into chunks of ``CHUNK``
-(twice that for any words but the compiled ones) and share contiguous runs
-of chunks among the process's kernel threads.
+``normal_block`` is the reference form of the noise, one call on the
+calling thread.  ``ou_sweep`` is the only kernel that cuts the streams into
+chunks of ``CHUNK`` (twice that for any words but the compiled ones) and
+shares contiguous runs of chunks among the process's kernel threads.
 Philox is counter-based, so every stream's words depend on its own counter
 and key alone, as does its OU path: the output does not depend on the
 split.
@@ -43,7 +44,7 @@ philox_raw_block = _words.philox_raw_block
 # second core idle; at K=L=256 both sizes took 1.6 s.  A chunk's normals
 # (256 KiB) stay in cache from the words through ndtri to the OU steps.
 # The NumPy words make ~170 ufunc calls per chunk, holding the interpreter
-# lock between them, and take chunks of 2 * CHUNK (``_chunk``).
+# lock between them, and take chunks of 2 * CHUNK (``_sweep_words``).
 CHUNK = 8192
 
 # Bytes of OU states one tile of ``ou_sweep`` holds: 4 steps of 65,536
@@ -106,48 +107,30 @@ def _share(run, n, unit):
         f.result()
 
 
-def _compiled(words):
-    return BACKEND == "c" and words is _words.philox_raw_block
-
-
-def _chunk(words):
-    """Streams per chunk for ``words``: ``CHUNK`` for the compiled words,
-    ``2 * CHUNK`` for others.  A desk field on the NumPy words took a
-    median 4.1 s in 16,384-stream chunks against 5.3 s in 8,192-stream
-    ones on a 2-vCPU host (7 alternated runs each)."""
-    return CHUNK if _compiled(words) else 2 * CHUNK
-
-
 def normal_block(block, ctr2, ctr3, key0, key1):
-    """Four standard normals per stream for one counter block, (n, 4).
+    """Four standard normals per stream for one counter block, (n, 4), on
+    the calling thread: the reference for ``ou_sweep``'s noise.
 
     Reads ``philox_raw_block`` from this module at call time, so swapping
     the module attribute swaps the words.
     """
-    words = philox_raw_block
-    chunk = _chunk(words)
-    out = np.empty((len(ctr2), 4))
-
-    def run(lo, hi):
-        for a in range(lo, hi, chunk):
-            b = min(a + chunk, hi)
-            normals(words(block, ctr2[a:b], ctr3[a:b], key0, key1[a:b]),
-                    out=out[a:b])
-
-    _share(run, len(ctr2), chunk)
-    return out
+    return normals(philox_raw_block(block, ctr2, ctr3, key0, key1))
 
 
-def _uniform_fill(words):
-    """``fill(block, ctr2, ctr3, key0, key1, out)`` writing the uniforms of
-    ``words`` to a float64 ``(n, 4)`` ``out``: the compiled map when
-    ``words`` are the compiled words, the NumPy one otherwise."""
-    if _compiled(words):
-        return _words.fill
+def _sweep_words(words):
+    """``(fill, chunk)`` for ``ou_sweep`` on ``words``: ``fill(block, ctr2,
+    ctr3, key0, key1, out)`` writes their uniforms to a float64 ``(n, 4)``
+    ``out``, and ``chunk`` streams make a chunk.  The compiled words take
+    the compiled map and ``CHUNK``; others take the NumPy map and
+    ``2 * CHUNK``: a desk field on the NumPy words took a median 4.1 s in
+    16,384-stream chunks against 5.3 s in 8,192-stream ones on a 2-vCPU
+    host (7 alternated runs each)."""
+    if BACKEND == "c" and words is _words.philox_raw_block:
+        return _words.fill, CHUNK
 
     def fill(block, ctr2, ctr3, key0, key1, out):
         uniforms(words(block, ctr2, ctr3, key0, key1), out=out)
-    return fill
+    return fill, 2 * CHUNK
 
 
 def tile_steps(n):
@@ -173,8 +156,7 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
     only.  ``x`` is not modified.
     """
     n = len(x)
-    words = philox_raw_block
-    fill, chunk = _uniform_fill(words), _chunk(words)
+    fill, chunk = _sweep_words(philox_raw_block)
     visit(0, x)
     rows = min(tile_steps(n), steps)
     tile = np.empty((rows, n))

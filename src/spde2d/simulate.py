@@ -180,6 +180,14 @@ def _factor_table(ks, xs, rate: float, amp: float = np.sqrt(2.0)):
     return amp * sinpi(np.multiply.outer(ks, xs)) * np.exp(-0.5 * rate * xs)
 
 
+def _check_point(y: float, z: float) -> None:
+    """Refuse a point off the closed unit square, nan and inf included."""
+    for name, v in (("y", y), ("z", z)):
+        if not 0.0 <= v <= 1.0:  # false for nan too
+            raise ConfigError(f"{name} must be a finite number in [0, 1], "
+                              f"got {v!r}")
+
+
 def _transition_coeffs(lam: np.ndarray, gamma: np.ndarray, dt: float):
     decay = np.exp(-lam * dt)
     scale = gamma * np.sqrt(-np.expm1(-2.0 * lam * dt) / (2.0 * lam))
@@ -430,6 +438,8 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     pts = [(float(y), float(z)) for (y, z) in points]
     if not pts:
         raise ConfigError("points must be non-empty")
+    for y, z in pts:
+        _check_point(y, z)
     ys = np.array([p[0] for p in pts])
     zs = np.array([p[1] for p in pts])
     ek = _factor_table(_modes(trunc.K), ys, params.kappa)

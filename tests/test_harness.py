@@ -178,8 +178,10 @@ class TestMonteCarlo:
                                                    monkeypatch):
         # a forked worker copies a parent with no live pool threads
         monkeypatch.setattr(kernels, "_threads", 2)
-        streams = np.zeros(2 * kernels.CHUNK, dtype=np.uint64)
-        kernels.normal_block(0, streams, streams, 0, streams)
+        n = 2 * kernels.CHUNK
+        streams = np.zeros(n, dtype=np.uint64)
+        kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), streams,
+                         streams, 0, streams, 4, lambda i, state: None)
 
         def noise_threads():
             return [t for t in threading.enumerate()
@@ -189,6 +191,35 @@ class TestMonteCarlo:
         parallel = run_monte_carlo(small_config, threads=2)
         assert not noise_threads()
         assert parallel.to_json() == run_monte_carlo(small_config).to_json()
+
+    # with fork, a pool starts all its max_workers on the first submit; one
+    # worker runs on the calling process
+    @pytest.mark.parametrize("replications,threads,pools", [
+        (3, 5, [3]), (1, 3, []), (3, 2, [2])])
+    def test_no_more_workers_than_replications(self, monkeypatch,
+                                               replications, threads, pools):
+        import spde2d.harness as hmod
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(hmod, "ProcessPoolExecutor", SerialPool)
+        config = ExperimentConfig.from_dict({**SMALL,
+                                             "replications": replications})
+        table = run_monte_carlo(config, threads=threads)
+        assert sizes == pools
+        assert table.to_json() == run_monte_carlo(config).to_json()
 
     def test_single_replication_has_blank_sd(self):
         d = dict(SMALL)
@@ -421,6 +452,24 @@ class TestCli:
         assert cli_main(["mc", "--config", str(bad)]) == 1
         err = capsys.readouterr().err
         assert "error:" in err
+
+    def test_config_that_is_a_directory_exits_nonzero(self, tmp_path,
+                                                      capsys):
+        assert cli_main(["mc", "--config", str(tmp_path),
+                         "--out-dir", str(tmp_path / "mc")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path} is a directory, not a configuration file\n")
+        assert not os.path.exists(tmp_path / "mc")
+
+    def test_config_that_is_not_utf8_exits_nonzero(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(json.dumps({**SMALL, "seed": 7}).encode()
+                        .replace(b'"seed"', b'"s\xe9ed"'))
+        assert cli_main(["mc", "--config", str(bad),
+                         "--out-dir", str(tmp_path / "mc")]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad} is not valid JSON: 'utf-8' codec can't decode")
+        assert not os.path.exists(tmp_path / "mc")
 
     def test_out_of_range_rep_exits_nonzero(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)

@@ -10,7 +10,6 @@ import shutil
 import subprocess
 import sys
 import sysconfig
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -55,8 +54,6 @@ def test_blocks_advance_like_one_numpy_stream(philox_words):
     assert np.array_equal(got, expected)
 
 
-# the sizes above CHUNK split into chunks over two threads, where fill runs
-# without the interpreter lock; 16385 and 32775 straddle two and four chunks
 @pytest.mark.parametrize("n", [1, 7, 4096, kernels.CHUNK + 1,
                                2 * kernels.CHUNK + 7, 16385, 32775])
 def test_compiled_words_and_normals_bit_identical(compiled_words, n, rng,
@@ -67,7 +64,6 @@ def test_compiled_words_and_normals_bit_identical(compiled_words, n, rng,
     c2[0], c3[0], k1[0] = 0, U64_MAX, U64_MAX
     c2[-1], c3[-1], k1[-1] = U64_MAX, 0, 0
     monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
-    monkeypatch.setattr(kernels, "_threads", 2)
     for block in (0, 1, 17, U64_MAX):
         for key0 in (0, 20220121, U64_MAX):
             assert np.array_equal(
@@ -96,65 +92,51 @@ def _edge_streams(n):
     return c2, c3, k1
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-# besides the edges of one chunk, the sizes around field_io's 16384 streams
-# and one past four chunks
-@pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
-                               kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
-                               16383, 16384, 16385, 32775, 65536])
-def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
-    # the split into chunks and threads must not show in the output
-    monkeypatch.setattr(kernels, "_threads", threads)
-    c2, c3, k1 = _edge_streams(n)
-    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
-        assert np.array_equal(kernels.normal_block(block, c2, c3, key0, k1),
-                              pyk.normal_block(block, c2, c3, key0, k1))
-
-
 def test_chunk_follows_the_word_source():
     # the NumPy words hold the interpreter lock between ~170 ufunc calls
     # per chunk, and take chunks twice as large as the compiled words
     assert kernels.CHUNK == 8192
-    assert kernels._chunk(pyk.philox_raw_block) == 16384
+    assert kernels._sweep_words(pyk.philox_raw_block)[1] == 16384
     if kernels.BACKEND == "c":
-        assert kernels._chunk(kernels.philox_raw_block) == 8192
+        assert kernels._sweep_words(kernels.philox_raw_block) == (
+            kernels._words.fill, 8192)
 
 
+def _sweep(c2, c3, k1, key0, steps, decay, scale):
+    """The states of ``ou_sweep`` from zero, ``(steps + 1, n)``."""
+    n = len(c2)
+    states = np.empty((steps + 1, n))
+
+    def visit(i, state):
+        states[i] = state
+    kernels.ou_sweep(np.zeros(n), np.full(n, decay), np.full(n, scale),
+                     c2, c3, key0, k1, steps, visit)
+    return states
+
+
+@pytest.mark.parametrize("words", ["default", "numpy"])
 @pytest.mark.parametrize("threads", [1, 2])
-# the edges of one and of several 16,384-stream chunks
-@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 32775, 65536])
-def test_chunked_normal_block_bit_identical_on_numpy_words(n, threads,
-                                                           monkeypatch):
+def test_sweep_draws_the_reference_normals(words, threads, monkeypatch):
+    # with decay 0 and scale 1 each state is its step's normal: lane
+    # (i-1) % 4 of counter block (i-1) // 4 of normal_block, over 7 chunks
+    # of 1,000 (4 of 2,000 on the NumPy words) and tiles of 8 steps
+    if words == "numpy":
+        monkeypatch.setattr(kernels, "philox_raw_block", pyk.philox_raw_block)
     monkeypatch.setattr(kernels, "_threads", threads)
-    monkeypatch.setattr(kernels, "philox_raw_block", pyk.philox_raw_block)
+    monkeypatch.setattr(kernels, "CHUNK", 1000)
+    n, steps = 6007, 19
+    monkeypatch.setattr(kernels, "TILE_BYTES", 64 * n)
+    assert kernels.tile_steps(n) == 8
     c2, c3, k1 = _edge_streams(n)
-    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
-        assert np.array_equal(kernels.normal_block(block, c2, c3, key0, k1),
-                              pyk.normal_block(block, c2, c3, key0, k1))
+    states = _sweep(c2, c3, k1, U64_MAX, steps, 0.0, 1.0)
+    for block in range(-(-steps // 4)):
+        z = kernels.normal_block(block, c2, c3, U64_MAX, k1)
+        for lane in range(min(4, steps - 4 * block)):
+            assert np.array_equal(states[4 * block + lane + 1], z[:, lane])
 
 
-def test_concurrent_callers_under_fast_switching(monkeypatch):
-    # more threads than cores, a fresh pool raced for by four callers, and
-    # frequent switches: every caller still gets the reference block
-    monkeypatch.setattr(kernels, "_threads", 3)
-    monkeypatch.setattr(kernels, "_pool", (None, None))
-    c2, c3, k1 = _edge_streams(3 * kernels.CHUNK + 5)
-    expected = [pyk.normal_block(b, c2, c3, 4, k1) for b in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as callers:
-            got = list(callers.map(
-                lambda b: kernels.normal_block(b, c2, c3, 4, k1), range(4),
-                timeout=120))
-    finally:
-        sys.setswitchinterval(interval)
-    for g, e in zip(got, expected):
-        assert np.array_equal(g, e)
-
-
-def _child_block(c2, c3, k1, expected):
-    got = kernels.normal_block(3, c2, c3, 11, k1)
+def _child_sweep(c2, c3, k1, expected):
+    got = _sweep(c2, c3, k1, 11, 8, 0.5, 1.0)
     os._exit(0 if np.array_equal(got, expected) else 1)
 
 
@@ -162,11 +144,11 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     # the parent's pool threads do not exist in a forked child; a child
     # that submitted to them would wait forever
     monkeypatch.setattr(kernels, "_threads", 2)
-    c2, c3, k1 = _edge_streams(2 * kernels.CHUNK + 7)
-    expected = pyk.normal_block(3, c2, c3, 11, k1)
-    assert np.array_equal(kernels.normal_block(3, c2, c3, 11, k1), expected)
+    c2, c3, k1 = _edge_streams(4 * kernels.CHUNK + 7)
+    expected = _sweep(c2, c3, k1, 11, 8, 0.5, 1.0)
+    assert kernels._pool[0] == os.getpid()
     child = multiprocessing.get_context("fork").Process(
-        target=_child_block, args=(c2, c3, k1, expected))
+        target=_child_sweep, args=(c2, c3, k1, expected))
     child.start()
     child.join(timeout=60)
     alive = child.is_alive()
@@ -181,11 +163,7 @@ def test_normals_leave_the_words_unchanged(rng):
     raw = rng.integers(0, U64_MAX, (64, 4), dtype=np.uint64, endpoint=True)
     raw[0] = 0, 1 << 11, 2 ** 63, U64_MAX
     before = raw.copy()
-    z = pyk.normals(raw)
-    assert np.array_equal(raw, before)
-    out = np.empty((64, 4))
-    assert pyk.normals(raw, out=out) is out
-    assert np.array_equal(out, z)
+    pyk.normals(raw)
     assert np.array_equal(raw, before)
 
 

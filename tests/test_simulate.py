@@ -270,6 +270,28 @@ class TestFieldSynthesis:
             assert np.allclose(pv[r, :, 0], f.values[:, 1, 2], rtol=1e-11,
                                atol=1e-14)
 
+    # the oracles' rule: finite and in [0, 1], endpoints accepted
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1,
+                                     2.0])
+    @pytest.mark.parametrize("axis", ["y", "z"])
+    def test_point_values_refuse_points_off_the_square(self, reference_params,
+                                                      bad, axis):
+        point = (bad, 0.5) if axis == "y" else (0.5, bad)
+        with pytest.raises(ConfigError, match=f"{axis} must be a finite"):
+            simulate_point_values(reference_params, NoiseKind.Q1,
+                                  SpaceTimeGrid(N=4, M1=2, M2=2),
+                                  TruncationSpec(K=3, L=3),
+                                  [(0.5, 0.5), point], seed=SEED)
+
+    def test_point_values_accept_the_endpoints(self, reference_params):
+        pv = simulate_point_values(reference_params, NoiseKind.Q1,
+                                   SpaceTimeGrid(N=4, M1=2, M2=2),
+                                   TruncationSpec(K=3, L=3),
+                                   [(0.0, 0.5), (1.0, 1.0), (0.5, 0.0)],
+                                   seed=SEED)
+        # the eigenfunctions vanish on the boundary, up to rounding of pi
+        assert np.all(np.abs(pv) < 1e-12)
+
     def test_field_sample_validates_shape(self, reference_params):
         grid = SpaceTimeGrid(N=3, M1=3, M2=3)
         with pytest.raises(GridMismatchError):
