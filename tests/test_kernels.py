@@ -114,25 +114,40 @@ def _sweep(c2, c3, k1, key0, steps, decay, scale):
     return states
 
 
-@pytest.mark.parametrize("words", ["default", "numpy"])
-@pytest.mark.parametrize("threads", [1, 2])
-def test_sweep_draws_the_reference_normals(words, threads, monkeypatch):
+def _assert_sweep_draws_normal_block(n):
     # with decay 0 and scale 1 each state is its step's normal: lane
-    # (i-1) % 4 of counter block (i-1) // 4 of normal_block, over 7 chunks
-    # of 1,000 (4 of 2,000 on the NumPy words) and tiles of 8 steps
-    if words == "numpy":
-        monkeypatch.setattr(kernels, "philox_raw_block", pyk.philox_raw_block)
-    monkeypatch.setattr(kernels, "_threads", threads)
-    monkeypatch.setattr(kernels, "CHUNK", 1000)
-    n, steps = 6007, 19
-    monkeypatch.setattr(kernels, "TILE_BYTES", 64 * n)
-    assert kernels.tile_steps(n) == 8
+    # (i-1) % 4 of counter block (i-1) // 4 of normal_block; 9 steps span
+    # two tiles at 32775 streams and above
     c2, c3, k1 = _edge_streams(n)
-    states = _sweep(c2, c3, k1, U64_MAX, steps, 0.0, 1.0)
-    for block in range(-(-steps // 4)):
-        z = kernels.normal_block(block, c2, c3, U64_MAX, k1)
-        for lane in range(min(4, steps - 4 * block)):
-            assert np.array_equal(states[4 * block + lane + 1], z[:, lane])
+    steps = 9
+    for key0 in (U64_MAX, 0):
+        states = _sweep(c2, c3, k1, key0, steps, 0.0, 1.0)
+        for i in range(1, steps + 1):
+            z = kernels.normal_block((i - 1) // 4, c2, c3, key0, k1)
+            assert np.array_equal(states[i], z[:, (i - 1) % 4])
+
+
+# The sweep is the one kernel that draws normals in chunks over the kernel
+# threads: its chunked normal blocks equal normal_block's bit for bit.
+@pytest.mark.parametrize("threads", [1, 2])
+# besides the edges of one chunk, the sizes around field_io's 16384 streams
+# and one past four chunks
+@pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
+                               kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
+                               16383, 16384, 16385, 32775, 65536])
+def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
+    monkeypatch.setattr(kernels, "_threads", threads)
+    _assert_sweep_draws_normal_block(n)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+# the edges of one and of several 16,384-stream chunks
+@pytest.mark.parametrize("n", [1, 16383, 16384, 16385, 32775, 65536])
+def test_chunked_normal_block_bit_identical_on_numpy_words(n, threads,
+                                                           monkeypatch):
+    monkeypatch.setattr(kernels, "_threads", threads)
+    monkeypatch.setattr(kernels, "philox_raw_block", pyk.philox_raw_block)
+    _assert_sweep_draws_normal_block(n)
 
 
 def _child_sweep(c2, c3, k1, expected):
