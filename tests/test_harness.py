@@ -176,9 +176,10 @@ class TestMonteCarlo:
 
     def test_workers_fork_without_the_noise_threads(self, small_config,
                                                    monkeypatch):
-        # a forked worker copies a parent with no live pool threads
+        # a forked worker copies a parent with no live pool threads; the
+        # sweep spans two chunks on either word source, so it starts the pool
         monkeypatch.setattr(kernels, "_threads", 2)
-        n = 2 * kernels.CHUNK
+        n = 4 * kernels.CHUNK
         streams = np.zeros(n, dtype=np.uint64)
         kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), streams,
                          streams, 0, streams, 4, lambda i, state: None)
