@@ -78,11 +78,16 @@ def load(path):
 
 
 def compiled(philox):
-    """``philox_raw_block`` computed by ``philox.fill``, the compiled words."""
+    """``philox_raw_block`` computed by ``philox.fill``, the compiled words.
+
+    The function carries ``philox.fill`` as its attribute ``fill``: that
+    marks the words as compiled, and ``kernels.ou_sweep`` calls it directly.
+    """
     def philox_raw_block(block, ctr2, ctr3, key0, key1):
         ctr2, ctr3, key1 = (np.ascontiguousarray(a, dtype=np.uint64)
                             for a in (ctr2, ctr3, key1))
         out = np.empty((ctr2.shape[0], 4), dtype=np.uint64)
         philox.fill(block, ctr2, ctr3, key0, key1, out)
         return out
+    philox_raw_block.fill = philox.fill
     return philox_raw_block

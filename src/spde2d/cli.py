@@ -23,7 +23,7 @@ from . import fieldio
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError, ThinningError
 from .harness import (ExperimentConfig, cross_section_dump, csv_text,
                       default_config, estimate_field, load_config,
-                      run_monte_carlo)
+                      run_monte_carlo, thinnings)
 from .increments import (asymptotic_mean, expected_squared_increment_oracle)
 from .model import NoiseKind
 from .simulate import simulate_field
@@ -98,9 +98,12 @@ def _check_provenance(config: ExperimentConfig, provenance: dict) -> None:
 
 def _cmd_estimate(args) -> int:
     config = _load(args)
-    field = fieldio.read_field(args.field)
-    _check_provenance(config, field.provenance)
-    record = estimate_field(config, field)
+    thin, tt = thinnings(config)
+    observed = fieldio.read_field(
+        args.field, grid=config.grid,
+        record=(thin.index_y, thin.index_z, tt.indices))
+    _check_provenance(config, observed.provenance)
+    record = estimate_field(config, observed)
     payload = record.to_dict()
     if args.covariance:
         payload["covariance"] = _covariance_at_estimates(config, record)

@@ -10,6 +10,11 @@ Layout of a field dump (all integers little-endian):
 
 Provenance travels in a JSON sidecar ``<path>.meta.json`` written next to
 the dump and re-attached on read when present.
+
+``read_field`` reads the whole field, or with ``record=`` only the
+observation record that estimation reads, streamed through a buffer of
+whole time slices: a dump grows as N M1 M2, its record as N m1 m2 +
+n M1 M2.
 """
 
 from __future__ import annotations
@@ -19,11 +24,15 @@ import os
 
 import numpy as np
 
-from .errors import ConfigError
-from .simulate import FieldSample, SpaceTimeGrid
+from .errors import ConfigError, GridMismatchError
+from .simulate import FieldSample, SpaceTimeGrid, observe_slices
 
 MAGIC = b"SPDE2DF\x00"
 VERSION = 1
+
+# Bytes of values a record read holds at once: as many whole time slices
+# as fit, and at least one.
+BLOCK_BYTES = 1 << 20
 
 
 def _meta_path(path: str) -> str:
@@ -42,10 +51,32 @@ def write_field(field: FieldSample, path: str) -> None:
         fh.write("\n")
 
 
-def read_field(path: str) -> FieldSample:
+def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):
+    """The dump's values after the header, as runs of whole time slices
+    read into one reused buffer of at most ``BLOCK_BYTES`` (one slice where
+    a slice is larger)."""
+    shape = (grid.M1 + 1, grid.M2 + 1)
+    rows = min(grid.N + 1, max(1, BLOCK_BYTES // (8 * shape[0] * shape[1])))
+    buf = np.empty((rows, *shape), dtype="<f8")
+    for first in range(0, grid.N + 1, rows):
+        block = buf[:grid.N + 1 - first]
+        if fh.readinto(block) != block.nbytes:
+            raise ConfigError(f"{path} is truncated ({count} values expected)")
+        yield block
+
+
+def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
+               record=None):
     """The dump at ``path`` with its sidecar's provenance (``{}`` without
     one); raises ``ConfigError`` for anything but a well-formed dump and a
-    sidecar of valid JSON, and ``FileNotFoundError`` for no file."""
+    sidecar of valid JSON, and ``FileNotFoundError`` for no file.
+
+    With ``grid``, a dump on another grid raises ``GridMismatchError``
+    before any value is read.  With ``record=(index_y, index_z, coarse)``
+    it returns the dump's ``Observation`` at those indices, equal to
+    ``observe_sample(read_field(path), *record)``, and never holds the
+    field: the values are read in blocks of ``BLOCK_BYTES``.
+    """
     if os.path.isdir(path):
         raise ConfigError(f"{path} is a directory, not a field dump")
     with open(path, "rb") as fh:
@@ -64,17 +95,30 @@ def read_field(path: str) -> FieldSample:
         if size != 24 + 8 * count:
             what = "truncated" if size < 24 + 8 * count else "padded"
             raise ConfigError(f"{path} is {what} ({count} values expected)")
-        grid = SpaceTimeGrid(N=n, M1=m1, M2=m2)
+        found = SpaceTimeGrid(N=n, M1=m1, M2=m2)
+        if grid is not None and found != grid:
+            raise GridMismatchError(
+                f"field grid ({n}, {m1}, {m2}) does not match the expected "
+                f"grid ({grid.N}, {grid.M1}, {grid.M2})")
+        if record is not None:
+            blocks = _blocks(fh, path, found, count)
+            return observe_slices(found, blocks, *record,
+                                  provenance=_provenance(path))
         data = np.empty((n + 1, m1 + 1, m2 + 1), dtype="<f8")
         if fh.readinto(data) != 8 * count:
             raise ConfigError(f"{path} is truncated ({count} values expected)")
     values = data.astype(np.float64, copy=False)
-    provenance = {}
+    return FieldSample(values=values, grid=found, provenance=_provenance(path))
+
+
+def _provenance(path: str) -> dict:
+    """The provenance in the sidecar of the dump at ``path``, ``{}`` without
+    one."""
     meta = _meta_path(path)
-    if os.path.exists(meta):
-        with open(meta, "rb") as fh:
-            try:
-                provenance = json.load(fh)
-            except ValueError as exc:  # bad JSON or bad UTF-8
-                raise ConfigError(f"{meta} is not valid JSON: {exc}") from exc
-    return FieldSample(values=values, grid=grid, provenance=provenance)
+    if not os.path.exists(meta):
+        return {}
+    with open(meta, "rb") as fh:
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ConfigError(f"{meta} is not valid JSON: {exc}") from exc

@@ -204,7 +204,7 @@ def estimate_field(config: ExperimentConfig,
         raise GridMismatchError(
             f"field grid ({grid.N}, {grid.M1}, {grid.M2}) does not match "
             f"config grid ({config.grid.N}, {config.grid.M1}, {config.grid.M2})")
-    thin, tt = _thinnings(config)
+    thin, tt = thinnings(config)
     obs = (observed if isinstance(observed, Observation) else
            observe_sample(observed, thin.index_y, thin.index_z, tt.indices))
     zfield = squared_increment_field(obs, thin, config.params.alpha)
@@ -231,7 +231,7 @@ def estimate_field(config: ExperimentConfig,
                              degenerate_input=degenerate)
 
 
-def _thinnings(config: ExperimentConfig):
+def thinnings(config: ExperimentConfig):
     """The space and time thinnings that estimation reads."""
     c = config.thinning
     return (build_space_thinning(config.grid.M1, config.grid.M2, c.mbar1,
@@ -244,7 +244,7 @@ def run_replication(config: ExperimentConfig, rep_index: int
     """Simulate and estimate one replication; deterministic in
     (seed, rep_index).  Only the observation record is simulated, not the
     field: the record equals that of ``simulate_field``'s field."""
-    thin, tt = _thinnings(config)
+    thin, tt = thinnings(config)
     obs = simulate_observation(config.params, config.kind, config.grid,
                                config.trunc, thin.index_y, thin.index_z,
                                tt.indices, seed=config.seed, rep=rep_index)

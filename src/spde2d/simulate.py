@@ -136,8 +136,9 @@ class Observation:
     ``points`` holds the values at the thinned points ``index_y x index_z``
     at every time, shape ``(N+1, m1, m2)``; ``slices`` the full lattice at
     the coarse time indices ``coarse``, shape ``(n+1, M1+1, M2+1)``.  Built
-    by ``observe_sample`` from a stored field, or by
-    ``simulate_observation`` without one.
+    from a field's slices by ``observe_slices`` (``observe_sample`` for a
+    field in memory, ``fieldio.read_field`` for a dump), or by
+    ``simulate_observation`` without them.
     """
 
     points: np.ndarray
@@ -146,6 +147,7 @@ class Observation:
     index_y: np.ndarray
     index_z: np.ndarray
     coarse: np.ndarray
+    provenance: dict = field(default_factory=dict)
 
 
 def _modes(n: int) -> np.ndarray:
@@ -358,18 +360,40 @@ def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
                        provenance=_provenance(params, kind, trunc, seed, rep))
 
 
+def observe_slices(grid: SpaceTimeGrid, blocks, index_y, index_z, coarse,
+                   provenance: dict) -> Observation:
+    """The observation record of the field on ``grid`` whose slices
+    ``blocks`` yields in order, as ``(rows, M1+1, M2+1)`` runs of whole
+    time slices that together make all N+1: its values at the points
+    ``index_y x index_z`` at every time and its slices at the time indices
+    ``coarse``.
+
+    The indices are checked before the first block is drawn, and each
+    block is copied from before the next one is, so ``blocks`` may reuse
+    one buffer.
+    """
+    index_y, index_z, coarse = _observed_indices(grid, index_y, index_z,
+                                                 coarse)
+    points = np.empty((grid.N + 1, len(index_y), len(index_z)))
+    slices = np.empty((len(coarse), grid.M1 + 1, grid.M2 + 1))
+    first = 0
+    for rows in blocks:
+        end = first + len(rows)
+        points[first:end] = rows[:, index_y[:, None], index_z]
+        lo, hi = np.searchsorted(coarse, [first, end])
+        slices[lo:hi] = rows[coarse[lo:hi] - first]
+        first = end
+    return Observation(points=points, slices=slices, grid=grid,
+                       index_y=index_y, index_z=index_z, coarse=coarse,
+                       provenance=provenance)
+
+
 def observe_sample(field: FieldSample, index_y, index_z,
                    coarse) -> Observation:
-    """The observation record of a stored field: its values at the points
-    ``index_y x index_z`` at every time and its slices at the time indices
-    ``coarse``."""
-    index_y, index_z, coarse = _observed_indices(field.grid, index_y,
-                                                 index_z, coarse)
-    return Observation(
-        points=np.ascontiguousarray(
-            field.values[:, index_y[:, None], index_z]),
-        slices=field.values[coarse], grid=field.grid, index_y=index_y,
-        index_z=index_z, coarse=coarse)
+    """The observation record of a field in memory: ``observe_slices`` on
+    all its slices as one block."""
+    return observe_slices(field.grid, [field.values], index_y, index_z,
+                          coarse, field.provenance)
 
 
 def simulate_observation(params: ModelParams, kind: NoiseKind,
@@ -419,7 +443,8 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
 
     _sweep(params, kind, grid, trunc, init, seed, range(rep, rep + 1), visit)
     return Observation(points=points, slices=slices, grid=grid,
-                       index_y=index_y, index_z=index_z, coarse=coarse)
+                       index_y=index_y, index_z=index_z, coarse=coarse,
+                       provenance=_provenance(params, kind, trunc, seed, rep))
 
 
 def simulate_point_values(params: ModelParams, kind: NoiseKind,

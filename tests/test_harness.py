@@ -6,6 +6,7 @@ import json
 import math
 import os
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from spde2d.harness import (ExperimentConfig, cross_section_dump,
                             load_config, run_monte_carlo, run_replication)
 from spde2d.model import NoiseKind
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, simulate_field)
+                             TruncationSpec, observe_sample, simulate_field)
 
 SMALL = {
     "params": {"theta0": 0.0, "theta1": 0.2, "eta1": 0.2, "theta2": 0.2,
@@ -337,6 +338,13 @@ class TestCrossSection:
         assert cells[12] == [0.1, 0.1, float(field.values[1, 1, 1])]
 
 
+# The two read modes of ``read_field``: the whole field, and the record at
+# the point (1, 1) and times 0 and 2 (the dumps below have N >= 2)
+READS = (fieldio.read_field,
+         lambda path, **kw: fieldio.read_field(
+             path, record=([1], [1], [0, 2]), **kw))
+
+
 class TestFieldIo:
     def test_round_trip_preserves_bits_and_provenance(self, reference_params,
                                                       tmp_path):
@@ -372,15 +380,90 @@ class TestFieldIo:
         else:
             data = data[:cut] if cut < 0 else data + b"\x00" * cut
         path.write_bytes(data)
-        with pytest.raises(ConfigError,
-                           match="padded" if cut == 24 else "truncated"):
-            fieldio.read_field(str(path))
+        for read in READS:
+            with pytest.raises(ConfigError,
+                               match="padded" if cut == 24 else "truncated"):
+                read(str(path))
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"NOTAFILE" + b"\x00" * 64)
-        with pytest.raises(ConfigError):
-            fieldio.read_field(str(path))
+        for read in READS:
+            with pytest.raises(ConfigError):
+                read(str(path))
+
+    def test_directory_rejected(self, tmp_path):
+        for read in READS:
+            with pytest.raises(ConfigError, match="is a directory"):
+                read(str(tmp_path))
+
+    @pytest.mark.parametrize("sidecar", [b"{broken", b"\xff\xfe{}"])
+    def test_bad_sidecar_rejected(self, reference_params, tmp_path, sidecar):
+        field = simulate_field(reference_params, NoiseKind.Q1,
+                               SpaceTimeGrid(N=2, M1=3, M2=3),
+                               TruncationSpec(K=2, L=2), seed=RngSeed(9))
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(field, path)
+        with open(path + ".meta.json", "wb") as fh:
+            fh.write(sidecar)
+        for read in READS:
+            with pytest.raises(ConfigError, match="is not valid JSON"):
+                read(path)
+
+    @pytest.mark.parametrize("other", [(2, 3, 3), (3, 2, 3), (3, 3, 4)])
+    def test_other_grid_rejected(self, reference_params, tmp_path, other):
+        field = simulate_field(reference_params, NoiseKind.Q1,
+                               SpaceTimeGrid(N=3, M1=3, M2=3),
+                               TruncationSpec(K=2, L=2), seed=RngSeed(9))
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(field, path)
+        for read in READS:
+            with pytest.raises(GridMismatchError,
+                               match=r"field grid \(3, 3, 3\)"):
+                read(path, grid=SpaceTimeGrid(*other))
+
+    # A slice of the 10x3x4 grid is 20 values (160 bytes), so the dump's 11
+    # slices are read whole, in blocks of 3 rows (3, 3, 3, 2), or one
+    # slice at a time from a block smaller than a slice.
+    @pytest.mark.parametrize("block_bytes", [1 << 20, 3 * 160, 100],
+                             ids=["one_block", "three_rows", "one_slice"])
+    def test_record_read_equals_indexed_field(self, reference_params,
+                                              tmp_path, monkeypatch,
+                                              block_bytes):
+        grid = SpaceTimeGrid(N=10, M1=3, M2=4)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                               TruncationSpec(K=3, L=3), seed=RngSeed(9))
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(field, path)
+        where = ([1, 2], [0, 3, 4], [0, 2, 3, 8, 9, 10])
+        want = observe_sample(fieldio.read_field(path), *where)
+        monkeypatch.setattr(fieldio, "BLOCK_BYTES", block_bytes)
+        got = fieldio.read_field(path, grid=grid, record=where)
+        assert np.array_equal(got.points, want.points)
+        assert np.array_equal(got.slices, want.slices)
+        assert np.array_equal(got.slices, field.values[where[2]])
+        for name in ("index_y", "index_z", "coarse"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert got.grid == want.grid == grid
+        assert got.provenance == want.provenance == field.provenance
+
+    def test_record_read_never_holds_the_field(self, tmp_path):
+        # a 7.7 MB dump whose record (32 kB of points, 85 kB of slices) is
+        # read through a buffer of 1 MiB: a peak below a quarter of the
+        # values shows that the field is never allocated
+        grid = SpaceTimeGrid(N=1000, M1=30, M2=30)
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(FieldSample(
+            values=np.zeros((1001, 31, 31)), grid=grid, provenance={}), path)
+        value_bytes = 8 * 1001 * 31 * 31
+        tracemalloc.start()
+        try:
+            fieldio.read_field(path, grid=grid, record=(
+                [5, 10], [5, 10], np.arange(0, 1001, 100)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < value_bytes / 4
 
 
 class TestCli:
@@ -596,6 +679,28 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: {tmp_path} is a directory, not a field dump\n")
 
+    @pytest.mark.parametrize("grid", [{"N": 20, "M1": 6, "M2": 10},
+                                      {"N": 40, "M1": 10, "M2": 14}],
+                             ids=["smaller", "larger"])
+    def test_estimate_refuses_a_dump_on_another_grid(self, tmp_path, capsys,
+                                                    grid):
+        # refused on the header, before the record's indices are checked
+        # against the dump's lattice or any value is read
+        out = str(tmp_path)
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps(dict(SMALL, grid=grid)))
+        assert cli_main(["simulate", "--config", str(sim), "--out-dir",
+                         out]) == 0
+        capsys.readouterr()
+        assert cli_main(["estimate", "--config", self._write_config(tmp_path),
+                         "--field", os.path.join(out, "field.bin"),
+                         "--out-dir", out]) == 1
+        n, m1, m2 = grid["N"], grid["M1"], grid["M2"]
+        assert capsys.readouterr().err == (
+            f"error: field grid ({n}, {m1}, {m2}) does not match the "
+            f"expected grid (40, 10, 10)\n")
+        assert not os.path.exists(os.path.join(out, "estimate.json"))
+
     def test_oracle_refuses_a_non_integer_index(self, tmp_path, capsys):
         cfg = self._write_config(tmp_path)
         assert cli_main(["oracle", "--config", cfg, "--i", "1,x",
@@ -647,6 +752,7 @@ class TestPhiloxPaths:
         assert hashlib.sha256(z.tobytes()).hexdigest() == self.NORMALS_SHA
 
     def test_replication_equal_under_compiled_words(self, small_config,
+                                                    compiled_philox,
                                                     compiled_words,
                                                     monkeypatch):
         def outputs():
@@ -658,6 +764,12 @@ class TestPhiloxPaths:
         reference = outputs()
         monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
         assert outputs() == reference
+        # the fixture's words are compiled: the sweep takes their compiled
+        # map and chunks, not the NumPy map the reference ran
+        assert kernels._sweep_words(compiled_words) == (compiled_philox.fill,
+                                                        kernels.CHUNK)
+        assert kernels._sweep_words(_kernels_py.philox_raw_block)[1] == (
+            2 * kernels.CHUNK)
 
 
 def test_estimate_covariance_flag(tmp_path):

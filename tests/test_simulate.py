@@ -13,7 +13,7 @@ import pytest
 from spde2d import _kernels_py, kernels
 from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
 from spde2d.model import Mode, ModelParams, NoiseKind, eigenvalue
-from spde2d.harness import ExperimentConfig, _thinnings
+from spde2d.harness import ExperimentConfig, thinnings
 from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
                              SpaceTimeGrid, TruncationSpec, _factor_table,
                              observe_sample, simulate_coordinate_paths,
@@ -472,7 +472,7 @@ class TestObservation:
     def test_sweep_record_equals_indexed_field(self, shape):
         overrides, rep = self.SHAPES[shape]
         cfg = ExperimentConfig.from_dict({**overrides, "seed": 11})
-        thin, tt = _thinnings(cfg)
+        thin, tt = thinnings(cfg)
         args = (cfg.params, cfg.kind, cfg.grid, cfg.trunc)
         field = simulate_field(*args, seed=cfg.seed, rep=rep)
         want = observe_sample(field, thin.index_y, thin.index_z, tt.indices)
@@ -500,6 +500,7 @@ class TestObservation:
                                    trunc, *where, init, SEED, rep=4)
         assert np.array_equal(got.points, want.points)
         assert np.array_equal(got.slices, want.slices)
+        assert got.provenance == want.provenance == field.provenance
 
     @pytest.mark.parametrize("where", [
         ([0, 7], [1], [0]), ([-1], [1], [0]), ([1], [5], [0]),
