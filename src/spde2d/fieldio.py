@@ -25,7 +25,8 @@ import os
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .simulate import FieldSample, SpaceTimeGrid, observe_slices
+from .simulate import (FieldSample, Observation, SpaceTimeGrid,
+                       observe_slices)
 
 MAGIC = b"SPDE2DF\x00"
 VERSION = 1
@@ -66,7 +67,7 @@ def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):
 
 
 def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
-               record=None):
+               record=None) -> FieldSample | Observation:
     """The dump at ``path`` with its sidecar's provenance (``{}`` without
     one); raises ``ConfigError`` for anything but a well-formed dump and a
     sidecar of valid JSON, and ``FileNotFoundError`` for no file.

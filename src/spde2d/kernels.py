@@ -127,9 +127,8 @@ def _sweep_words(words):
     ``2 * CHUNK``: a desk field on the NumPy words took a median 4.1 s in
     16,384-stream chunks against 5.3 s in 8,192-stream ones on a 2-vCPU
     host (7 alternated runs each)."""
-    fill = getattr(words, "fill", None)
-    if fill is not None:
-        return fill, CHUNK
+    if hasattr(words, "fill"):
+        return words.fill, CHUNK
 
     def fill(block, ctr2, ctr3, key0, key1, out):
         uniforms(words(block, ctr2, ctr3, key0, key1), out=out)
