@@ -16,8 +16,8 @@ from .increments import (SpaceThinning, SquaredIncrementField,
                          squared_increment_field)
 from .kernels import BACKEND
 from .model import (DerivedRatios, Mode, ModelParams, NoiseKind,
-                    contrast_coefficient, damping_factor, eigenfunction,
-                    eigenvalue, mode_volatility, mu_value)
+                    contrast_coefficient, damping_base, damping_factor,
+                    eigenfunction, eigenvalue, mode_volatility, mu_value)
 from .plugins import (CovarianceMatrix, PluginEstimates, covariance_J,
                       covariance_K, covariance_L, q1_plugin, q2_known_plugin,
                       q2_unknown_plugin)

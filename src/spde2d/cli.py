@@ -21,9 +21,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from . import fieldio
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError, ThinningError
-from .harness import (ExperimentConfig, cross_section_dump, csv_text,
+from .harness import (ExperimentConfig, cross_section, csv_text,
                       default_config, estimate_field, load_config,
-                      run_monte_carlo, thinnings)
+                      run_monte_carlo, section_record, thinnings)
 from .increments import (asymptotic_mean, expected_squared_increment_oracle)
 from .model import NoiseKind
 from .simulate import simulate_field
@@ -182,8 +182,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_cross_section(args) -> int:
-    field = fieldio.read_field(args.field)
-    section = cross_section_dump(field, args.axis, args.level)
+    grid = fieldio.read_grid(args.field)
+    record = section_record(grid, args.axis, args.level)
+    obs = fieldio.read_field(args.field, grid=grid, record=record)
+    section = cross_section(obs, args.axis, args.level)
     name = f"cross_section_{args.axis}_{args.level}.csv"
     path = _outpath(args, name)
     with open(path, "w") as fh:

@@ -11,10 +11,10 @@ Layout of a field dump (all integers little-endian):
 Provenance travels in a JSON sidecar ``<path>.meta.json`` written next to
 the dump and re-attached on read when present.
 
-``read_field`` reads the whole field, or with ``record=`` only the
-observation record that estimation reads, streamed through a buffer of
-whole time slices: a dump grows as N M1 M2, its record as N m1 m2 +
-n M1 M2.
+``read_field`` reads the whole field, or with ``record=`` only an
+observation record (what estimation reads, or one cross section), streamed
+through a buffer of whole time slices: a dump grows as N M1 M2, its record
+as N m1 m2 + n M1 M2.  ``read_grid`` reads the header alone.
 """
 
 from __future__ import annotations
@@ -66,6 +66,41 @@ def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):
         yield block
 
 
+def _open(path: str):
+    if os.path.isdir(path):
+        raise ConfigError(f"{path} is a directory, not a field dump")
+    return open(path, "rb")
+
+
+def _header(fh, path: str) -> SpaceTimeGrid:
+    """The grid in the header of the dump open in ``fh`` at its start;
+    raises ``ConfigError`` for a bad header or a size that does not match
+    it."""
+    magic = fh.read(8)
+    if magic != MAGIC:
+        raise ConfigError(f"{path} is not a field dump (bad magic {magic!r})")
+    header = fh.read(16)
+    if len(header) != 16:
+        raise ConfigError(f"{path} is truncated (header of 16 bytes "
+                          f"expected after the magic)")
+    version, n, m1, m2 = (int(v) for v in np.frombuffer(header, "<u4"))
+    if version != VERSION:
+        raise ConfigError(f"unsupported field dump version {version}")
+    count = (n + 1) * (m1 + 1) * (m2 + 1)
+    size = os.fstat(fh.fileno()).st_size
+    if size != 24 + 8 * count:
+        what = "truncated" if size < 24 + 8 * count else "padded"
+        raise ConfigError(f"{path} is {what} ({count} values expected)")
+    return SpaceTimeGrid(N=n, M1=m1, M2=m2)
+
+
+def read_grid(path: str) -> SpaceTimeGrid:
+    """The grid of the dump at ``path``, after ``read_field``'s checks of
+    its header and size; no value is read."""
+    with _open(path) as fh:
+        return _header(fh, path)
+
+
 def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
                record=None) -> FieldSample | Observation:
     """The dump at ``path`` with its sidecar's provenance (``{}`` without
@@ -78,25 +113,10 @@ def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
     ``observe_sample(read_field(path), *record)``, and never holds the
     field: the values are read in blocks of ``BLOCK_BYTES``.
     """
-    if os.path.isdir(path):
-        raise ConfigError(f"{path} is a directory, not a field dump")
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != MAGIC:
-            raise ConfigError(f"{path} is not a field dump (bad magic {magic!r})")
-        header = fh.read(16)
-        if len(header) != 16:
-            raise ConfigError(f"{path} is truncated (header of 16 bytes "
-                              f"expected after the magic)")
-        version, n, m1, m2 = (int(v) for v in np.frombuffer(header, "<u4"))
-        if version != VERSION:
-            raise ConfigError(f"unsupported field dump version {version}")
+    with _open(path) as fh:
+        found = _header(fh, path)
+        n, m1, m2 = found.N, found.M1, found.M2
         count = (n + 1) * (m1 + 1) * (m2 + 1)
-        size = os.fstat(fh.fileno()).st_size
-        if size != 24 + 8 * count:
-            what = "truncated" if size < 24 + 8 * count else "padded"
-            raise ConfigError(f"{path} is {what} ({count} values expected)")
-        found = SpaceTimeGrid(N=n, M1=m1, M2=m2)
         if grid is not None and found != grid:
             raise GridMismatchError(
                 f"field grid ({n}, {m1}, {m2}) does not match the expected "

@@ -252,28 +252,20 @@ def run_replication(config: ExperimentConfig, rep_index: int
 
 
 def _true_values(config: ExperimentConfig) -> dict[str, float]:
+    """The true value of each summarized parameter, in the summary's row
+    order."""
     p = config.params
     ratios = DerivedRatios.from_params(p)
-    out = {"kappa": ratios.kappa, "eta": ratios.eta,
-           "theta1": p.theta1, "eta1": p.eta1, "theta2": p.theta2,
-           "sigma2": p.sigma ** 2}
     if config.kind is NoiseKind.Q1:
-        out["s"] = ratios.s
-        out["theta0"] = p.theta0
+        out = {"s": ratios.s, "kappa": ratios.kappa, "eta": ratios.eta,
+               "theta0": p.theta0}
     else:
-        out["S"] = ratios.S
+        out = {"S": ratios.S, "kappa": ratios.kappa, "eta": ratios.eta}
         if config.kind is NoiseKind.Q2_UNKNOWN_MU0:
             out["mu0"] = p.require_mu0()
+    out.update(theta1=p.theta1, eta1=p.eta1, theta2=p.theta2,
+               sigma2=p.sigma ** 2)
     return out
-
-
-def _parameter_order(kind: NoiseKind) -> list[str]:
-    if kind is NoiseKind.Q1:
-        return ["s", "kappa", "eta", "theta0", "theta1", "eta1", "theta2",
-                "sigma2"]
-    if kind is NoiseKind.Q2_KNOWN_MU0:
-        return ["S", "kappa", "eta", "theta1", "eta1", "theta2", "sigma2"]
-    return ["S", "kappa", "eta", "mu0", "theta1", "eta1", "theta2", "sigma2"]
 
 
 def _record_value(record: ReplicationRecord, name: str) -> float | None:
@@ -358,9 +350,8 @@ class SummaryTable:
 
 
 def _summarize(config: ExperimentConfig, records: list) -> SummaryTable:
-    truth = _true_values(config)
     rows = []
-    for name in _parameter_order(config.kind):
+    for name, true in _true_values(config).items():
         values = []
         for rec in records:
             v = _record_value(rec, name)
@@ -373,7 +364,7 @@ def _summarize(config: ExperimentConfig, records: list) -> SummaryTable:
                            / (n_ok - 1))
         else:
             sd = None
-        rows.append({"parameter": name, "true": truth[name], "mean": mean,
+        rows.append({"parameter": name, "true": true, "mean": mean,
                      "sd": sd, "fail_count": len(records) - n_ok})
     return SummaryTable(kind=config.kind, replications=config.replications,
                         rows=rows, diagnostics=diagnostics(config),
@@ -433,23 +424,39 @@ def _grid_index(coords: np.ndarray, level: float, what: str) -> int:
     return int(hits[0])
 
 
+def section_record(grid: SpaceTimeGrid, axis: str, level: float):
+    """``(index_y, index_z, coarse)`` of the observation record that holds
+    the cross section at an exact grid node ``level`` of ``axis``: one time
+    slice, or every time at one y or z index."""
+    if axis == "t":
+        return [], [], [_grid_index(grid.times(), level, "time")]
+    if axis == "y":
+        return [_grid_index(grid.ys(), level, "y")], range(grid.M2 + 1), []
+    if axis == "z":
+        return range(grid.M1 + 1), [_grid_index(grid.zs(), level, "z")], []
+    raise ConfigError(f"axis must be one of t, y, z, got {axis!r}")
+
+
+def cross_section(obs: Observation, axis: str, level: float
+                  ) -> CrossSection:
+    """The cross section held by ``obs``, the record ``section_record``
+    names for ``axis`` and ``level``."""
+    grid = obs.grid
+    if axis == "t":
+        return CrossSection(axis=axis, level=level, names=("y", "z"),
+                            coords1=grid.ys(), coords2=grid.zs(),
+                            values=obs.slices[0])
+    if axis == "y":
+        return CrossSection(axis=axis, level=level, names=("t", "z"),
+                            coords1=grid.times(), coords2=grid.zs(),
+                            values=obs.points[:, 0, :])
+    return CrossSection(axis=axis, level=level, names=("t", "y"),
+                        coords1=grid.times(), coords2=grid.ys(),
+                        values=obs.points[:, :, 0])
+
+
 def cross_section_dump(field_sample: FieldSample, axis: str,
                        level: float) -> CrossSection:
     """Slice the field at an exact grid node of the chosen axis."""
-    grid = field_sample.grid
-    if axis == "t":
-        i = _grid_index(grid.times(), level, "time")
-        return CrossSection(axis=axis, level=level, names=("y", "z"),
-                            coords1=grid.ys(), coords2=grid.zs(),
-                            values=field_sample.values[i])
-    if axis == "y":
-        j = _grid_index(grid.ys(), level, "y")
-        return CrossSection(axis=axis, level=level, names=("t", "z"),
-                            coords1=grid.times(), coords2=grid.zs(),
-                            values=field_sample.values[:, j, :])
-    if axis == "z":
-        j = _grid_index(grid.zs(), level, "z")
-        return CrossSection(axis=axis, level=level, names=("t", "y"),
-                            coords1=grid.times(), coords2=grid.ys(),
-                            values=field_sample.values[:, :, j])
-    raise ConfigError(f"axis must be one of t, y, z, got {axis!r}")
+    record = section_record(field_sample.grid, axis, level)
+    return cross_section(observe_sample(field_sample, *record), axis, level)

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, GridMismatchError, ThinningError
-from .model import (DerivedRatios, ModelParams, NoiseKind,
-                    contrast_coefficient)
-from .simulate import (Observation, TruncationSpec, _check_point,
-                       _factor_table, _modes, _mode_tables)
+from .model import (DerivedRatios, ModelParams, NoiseKind, check_point,
+                    contrast_coefficient, damping_base, eigenvalue,
+                    factor_table, mode_grid)
+from .simulate import Observation, TruncationSpec
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,14 @@ def _oracle_tables(params: ModelParams, kind: NoiseKind,
     """Per-mode denominators and squared eigenfunctions for the exact
     mean of one squared increment (zero initial state) at a point of the
     unit square."""
-    _check_point(y, z)
-    lam, damp_base = _mode_tables(params, kind, trunc)
-    denom = lam * damp_base ** params.alpha
+    check_point(y, z)
+    modes = mode_grid(trunc.K, trunc.L)
+    lam = eigenvalue(modes, params)
+    denom = lam * damping_base(kind, modes, params) ** params.alpha
     # Unit amplitude: the factor 2 * 2 is applied exactly after squaring,
     # instead of through the rounded sqrt(2)^2.
-    ey = _factor_table(_modes(trunc.K), y, params.kappa, amp=1.0)
-    ez = _factor_table(_modes(trunc.L), z, params.eta, amp=1.0)
+    ey = factor_table(np.arange(1, trunc.K + 1), y, params.kappa, amp=1.0)
+    ez = factor_table(np.arange(1, trunc.L + 1), z, params.eta, amp=1.0)
     return lam, denom, 4.0 * (ey ** 2)[:, None] * (ez ** 2)[None, :]
 
 
@@ -176,7 +177,7 @@ def asymptotic_mean(params: ModelParams, kind: NoiseKind,
                     y: float, z: float) -> float:
     """Leading coefficient of the statistic's mean at an interior point:
     ``c(alpha) * scale * exp(-kappa y - eta z)``."""
-    _check_point(y, z)
+    check_point(y, z)
     ratios = DerivedRatios.from_params(params)
     scale = ratios.S if kind.is_q2 else ratios.s
     return (contrast_coefficient(params.alpha) * scale

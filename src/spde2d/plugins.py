@@ -17,14 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Mode, ModelParams, NoiseKind, eigenvalue, mu_value
+from .model import (THREE_PI_SQ, TWO_PI_SQ, Mode, ModelParams, NoiseKind,
+                    eigenvalue, mu_value)
 
 ORDERING_VIOLATION = "ordering-violation"
 NONPOSITIVE_BASE = "nonpositive-base"
 OUT_OF_DOMAIN = "out-of-domain"
-
-_THREE_PI_SQ = 3.0 * math.pi ** 2
-_TWO_PI_SQ = 2.0 * math.pi ** 2
 
 
 @dataclass(frozen=True)
@@ -75,14 +73,14 @@ def q1_plugin(s_hat: float, kappa_hat: float, eta_hat: float,
     base = inv12 - inv11
     if not base > 0:
         return PluginEstimates(case=kind, failure=ORDERING_VIOLATION)
-    theta2 = _pospow(_THREE_PI_SQ / _pospow(s_hat, 1.0 / alpha) / base,
+    theta2 = _pospow(THREE_PI_SQ / _pospow(s_hat, 1.0 / alpha) / base,
                      alpha / (1.0 - alpha))
     sigma2 = s_hat * theta2
     theta1 = kappa_hat * theta2
     eta1 = eta_hat * theta2
     lambda11 = _pospow(s_hat * theta2 / sig11, 1.0 / alpha)
     theta0 = -lambda11 + ((kappa_hat ** 2 + eta_hat ** 2) / 4.0
-                          + _TWO_PI_SQ) * theta2
+                          + TWO_PI_SQ) * theta2
     return PluginEstimates(case=kind, theta0=theta0, theta1=theta1, eta1=eta1,
                            theta2=theta2, sigma2=sigma2,
                            lambda11_hat=lambda11)
@@ -129,11 +127,11 @@ def q2_unknown_plugin(S_hat: float, kappa_hat: float, eta_hat: float,
     base = inv12 - inv11
     if base == 0.0:
         return PluginEstimates(case=kind, failure=ORDERING_VIOLATION)
-    mu11 = _THREE_PI_SQ * inv11 / base
-    mu0_bar = mu11 - _TWO_PI_SQ
-    if not mu0_bar > -_TWO_PI_SQ:
+    mu11 = THREE_PI_SQ * inv11 / base
+    mu0_bar = mu11 - TWO_PI_SQ
+    if not mu0_bar > -TWO_PI_SQ:
         return PluginEstimates(case=kind, failure=OUT_OF_DOMAIN)
-    sigma2 = _pospow(_THREE_PI_SQ / base, alpha)
+    sigma2 = _pospow(THREE_PI_SQ / base, alpha)
     theta2 = _pospow(sigma2 / S_hat, 1.0 / (1.0 - alpha))
     return PluginEstimates(case=kind, theta1=kappa_hat * theta2,
                            eta1=eta_hat * theta2, theta2=theta2,

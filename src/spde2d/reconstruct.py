@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .model import Mode
-from .simulate import Observation, _factor_table
+from .model import Mode, factor_table
+from .simulate import Observation
 
 
 @dataclass(frozen=True)
@@ -78,8 +78,8 @@ def approx_coordinate(obs: Observation, mode: Mode, kappa_hat: float,
     k, l = mode
     ys = obs.grid.ys()[1:]
     zs = obs.grid.zs()[1:]
-    wy = _factor_table(k, ys, -kappa_hat, amp=1.0)
-    wz = _factor_table(l, zs, -eta_hat, amp=1.0)
+    wy = factor_table(k, ys, -kappa_hat, amp=1.0)
+    wz = factor_table(l, zs, -eta_hat, amp=1.0)
     sub = obs.slices[:, 1:, 1:]
     m_total = obs.grid.M1 * obs.grid.M2
     vals = (2.0 / m_total) * np.einsum("tij,i,j->t", sub, wy, wz)

@@ -20,9 +20,10 @@ import numpy as np
 
 from . import kernels
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError
-from .model import Mode, ModelParams, NoiseKind, sinpi
+from .model import (Mode, ModelParams, NoiseKind, check_point, eigenvalue,
+                    factor_table, mode_grid, mode_volatility)
 
-MEMORY_BUDGET = 4 << 30  # bytes of observed values one call may hold
+MEMORY_BUDGET = 4 << 30  # bytes of output and sweep one call may hold
 
 _UINT64_MAX = 2 ** 64 - 1
 
@@ -150,52 +151,6 @@ class Observation:
     provenance: dict = field(default_factory=dict)
 
 
-def _modes(n: int) -> np.ndarray:
-    return np.arange(1, n + 1, dtype=np.float64)
-
-
-def _mode_tables(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec):
-    """Eigenvalues and noise damping bases on the (K, L) mode grid.
-
-    The damping base is the eigenvalue itself for Q1 and ``pi^2 (k^2 + l^2)
-    + mu0`` for Q2; mode ``(k, l)`` has noise amplitude ``sigma *
-    base^(-alpha/2)``.
-    """
-    sumsq = _modes(trunc.K)[:, None] ** 2 + _modes(trunc.L)[None, :] ** 2
-    lam = (-params.theta0
-           + (params.theta1 ** 2 + params.eta1 ** 2) / (4.0 * params.theta2)
-           + np.pi ** 2 * params.theta2 * sumsq)
-    if kind.is_q2:
-        damp_base = np.pi ** 2 * sumsq + params.require_mu0()
-    else:
-        damp_base = lam
-    return lam, damp_base
-
-
-def _factor_table(ks, xs, rate: float, amp: float = np.sqrt(2.0)):
-    """Eigenfunction factor ``amp sin(pi k x) exp(-rate x / 2)``, one row per
-    index in ``ks`` and one column per point in ``xs``.
-
-    With the default amplitude the outer product of the y and z tables is
-    the eigenfunction, and its boundary columns are exactly zero.
-    """
-    return amp * sinpi(np.multiply.outer(ks, xs)) * np.exp(-0.5 * rate * xs)
-
-
-def _check_point(y: float, z: float) -> None:
-    """Refuse a point off the closed unit square, nan and inf included."""
-    for name, v in (("y", y), ("z", z)):
-        if not 0.0 <= v <= 1.0:  # false for nan too
-            raise ConfigError(f"{name} must be a finite number in [0, 1], "
-                              f"got {v!r}")
-
-
-def _transition_coeffs(lam: np.ndarray, gamma: np.ndarray, dt: float):
-    decay = np.exp(-lam * dt)
-    scale = gamma * np.sqrt(-np.expm1(-2.0 * lam * dt) / (2.0 * lam))
-    return decay, scale
-
-
 def _stream_words(trunc: TruncationSpec):
     """Counter words (k, l) for the flattened row-major mode layout."""
     c2 = np.repeat(np.arange(1, trunc.K + 1, dtype=np.uint64), trunc.L)
@@ -214,12 +169,14 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     threads, several steps at once and in any order; ``states`` is valid
     for the call only.
     """
-    lam, damp_base = _mode_tables(params, kind, trunc)
-    gamma = params.sigma * damp_base ** (-0.5 * params.alpha)
-    decay, scale = _transition_coeffs(lam, gamma, grid.dt)
+    modes = mode_grid(trunc.K, trunc.L)
+    lam = eigenvalue(modes, params).ravel()
+    gamma = mode_volatility(kind, modes, params).ravel()
     n_reps = len(reps)
-    decay = np.tile(decay.ravel(), n_reps)
-    scale = np.tile(scale.ravel(), n_reps)
+    # the exact OU transition over one step
+    decay = np.tile(np.exp(-lam * grid.dt), n_reps)
+    scale = np.tile(gamma * np.sqrt(-np.expm1(-2.0 * lam * grid.dt)
+                                    / (2.0 * lam)), n_reps)
     c2, c3 = _stream_words(trunc)
     c2 = np.tile(c2, n_reps)
     c3 = np.tile(c3, n_reps)
@@ -234,20 +191,22 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
         lambda i, state: visit(i, state.reshape(n_reps, trunc.n_modes)))
 
 
-def _check_request(first_rep: int, n_reps: int, nbytes: int,
-                   what: str) -> None:
-    """Refuse replications outside the 64-bit stream keys and ``nbytes`` of
-    output above ``MEMORY_BUDGET``, before anything is allocated."""
+def _check_request(first_rep: int, n_reps: int, nbytes: int, what: str,
+                   grid: SpaceTimeGrid, streams: int) -> None:
+    """Refuse replications outside the 64-bit stream keys, and ``nbytes``
+    of output plus a sweep of ``streams`` noise streams (six arrays of them
+    and a tile of states) above ``MEMORY_BUDGET``, before any allocation."""
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
     if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
         raise ConfigError(
             f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
             f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
-    if nbytes > MEMORY_BUDGET:
+    work = 8 * streams * (6 + min(kernels.tile_steps(streams), grid.N))
+    if nbytes + work > MEMORY_BUDGET:
         raise MemoryBudgetError(
-            f"{what} needs {nbytes} bytes, exceeding the budget of "
-            f"{MEMORY_BUDGET}; shrink the request")
+            f"{what} needs {nbytes} bytes and its sweep {work} more, "
+            f"exceeding the budget of {MEMORY_BUDGET}; shrink the request")
 
 
 def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
@@ -263,10 +222,11 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     against ``MEMORY_BUDGET`` before anything is allocated, and chunks of
     at most about 2M noise streams bound the working memory of a sweep.
     """
-    _check_request(first_rep, n_reps,
-                   8 * n_reps * (grid.N + 1) * math.prod(shape), what)
-    out = np.empty((n_reps, grid.N + 1, *shape), dtype=np.float64)
     chunk = max(1, (1 << 21) // trunc.n_modes)
+    _check_request(first_rep, n_reps,
+                   8 * n_reps * (grid.N + 1) * math.prod(shape), what,
+                   grid, min(n_reps, chunk) * trunc.n_modes)
+    out = np.empty((n_reps, grid.N + 1, *shape), dtype=np.float64)
     for r0 in range(0, n_reps, chunk):
         rows = out[r0:r0 + chunk]
         reps = range(first_rep + r0, first_rep + r0 + len(rows))
@@ -284,8 +244,8 @@ def _lattice_tables(params: ModelParams, grid: SpaceTimeGrid,
     of the lattice: the field slice of mode state ``x`` is ``eyT @ x @
     ez``."""
     eyT = np.ascontiguousarray(
-        _factor_table(_modes(trunc.K), grid.ys(), params.kappa).T)
-    ez = _factor_table(_modes(trunc.L), grid.zs(), params.eta)
+        factor_table(np.arange(1, trunc.K + 1), grid.ys(), params.kappa).T)
+    ez = factor_table(np.arange(1, trunc.L + 1), grid.zs(), params.eta)
     return eyT, ez
 
 
@@ -425,7 +385,7 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
     points_shape = (grid.N + 1, len(index_y), len(index_z))
     _check_request(rep, 1, 8 * (math.prod(points_shape)
                                 + len(coarse) * math.prod(shape)),
-                   "observation record")
+                   "observation record", grid, trunc.n_modes)
     points = np.empty(points_shape)
     slices = np.empty((len(coarse), *shape))
     slot = dict(zip(coarse.tolist(), range(len(coarse))))
@@ -464,11 +424,11 @@ def simulate_point_values(params: ModelParams, kind: NoiseKind,
     if not pts:
         raise ConfigError("points must be non-empty")
     for y, z in pts:
-        _check_point(y, z)
+        check_point(y, z)
     ys = np.array([p[0] for p in pts])
     zs = np.array([p[1] for p in pts])
-    ek = _factor_table(_modes(trunc.K), ys, params.kappa)
-    el = _factor_table(_modes(trunc.L), zs, params.eta)
+    ek = factor_table(np.arange(1, trunc.K + 1), ys, params.kappa)
+    el = factor_table(np.arange(1, trunc.L + 1), zs, params.eta)
     etab = (ek[:, None, :] * el[None, :, :]).reshape(-1, len(pts))
     return _observe(params, kind, grid, trunc, ZERO_INITIAL, seed, first_rep,
                     reps, (len(pts),), lambda x: x @ etab,

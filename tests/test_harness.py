@@ -16,7 +16,8 @@ from spde2d.cli import main as cli_main
 from spde2d.errors import ConfigError, GridMismatchError
 from spde2d.harness import (ExperimentConfig, cross_section_dump,
                             default_config, diagnostics, estimate_field,
-                            load_config, run_monte_carlo, run_replication)
+                            load_config, run_monte_carlo, run_replication,
+                            section_record)
 from spde2d.model import NoiseKind
 from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
                              TruncationSpec, observe_sample, simulate_field)
@@ -168,6 +169,24 @@ class TestMonteCarlo:
                        if rec.estimates.failure is None
                        or row["parameter"] in ("s", "kappa", "eta"))
             assert n_ok + row["fail_count"] == 3
+
+    @pytest.mark.parametrize("kind, names", [
+        ("q2-known-mu0", ["S", "kappa", "eta", "theta1", "eta1", "theta2",
+                          "sigma2"]),
+        ("q2-unknown-mu0", ["S", "kappa", "eta", "mu0", "theta1", "eta1",
+                            "theta2", "sigma2"]),
+    ])
+    def test_q2_summary_rows(self, kind, names):
+        config = ExperimentConfig.from_dict({
+            **SMALL, "kind": kind, "replications": 1,
+            "params": {**SMALL["params"], "mu0": 0.5}})
+        rows = run_monte_carlo(config).rows
+        assert [r["parameter"] for r in rows] == names
+        truth = {"S": 1.0 / 0.2 ** 0.5, "kappa": 1.0, "eta": 1.0,
+                 "mu0": 0.5, "theta1": 0.2, "eta1": 0.2, "theta2": 0.2,
+                 "sigma2": 1.0}
+        assert [r["true"] for r in rows] == pytest.approx(
+            [truth[name] for name in names], rel=1e-15)
 
     def test_worker_count_does_not_change_bytes(self, small_config):
         serial = run_monte_carlo(small_config, threads=1)
@@ -435,6 +454,36 @@ class TestFieldIo:
         assert peak < value_bytes / 4
 
 
+    @pytest.mark.parametrize("axis, index", [("t", 500), ("y", 7),
+                                             ("z", 12)])
+    def test_section_read_never_holds_the_field(self, tmp_path, axis, index):
+        # a section is one time slice (8 kB) or one y or z index at every
+        # time (248 kB) of a 7.7 MB dump, read through a buffer of 1 MiB
+        grid = SpaceTimeGrid(N=1000, M1=30, M2=30)
+        field = FieldSample(
+            values=np.random.default_rng(3).standard_normal((1001, 31, 31)),
+            grid=grid, provenance={})
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(field, path)
+        level = float({"t": grid.times(), "y": grid.ys(),
+                       "z": grid.zs()}[axis][index])
+        tracemalloc.start()
+        try:
+            fieldio.read_field(path, grid=grid,
+                               record=section_record(grid, axis, level))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field.values.nbytes / 4
+        # and the command's CSV is the in-memory field's section
+        assert cli_main(["cross-section", "--field", path, "--axis", axis,
+                         "--level", repr(level), "--out-dir",
+                         str(tmp_path)]) == 0
+        written = tmp_path / f"cross_section_{axis}_{level}.csv"
+        assert written.read_text() == cross_section_dump(
+            field, axis, level).to_csv()
+
+
 class TestCli:
     def _write_config(self, tmp_path):
         path = tmp_path / "config.json"
@@ -617,8 +666,8 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(os.path.join(out, "estimate.json"))
 
-    # estimate reads the dump's record, cross-section the whole field: the
-    # two read modes of fieldio.read_field
+    # estimate reads the dump's record, cross-section its section: both
+    # through the header and sidecar checks of fieldio.read_field
     @pytest.mark.parametrize("sidecar", [b"{broken", b'{"kind": "q1"',
                                          b"\xff\xfe{}"])
     @pytest.mark.parametrize("command", [
@@ -639,7 +688,7 @@ class TestCli:
             f"error: {field}.meta.json is not valid JSON: ")
         assert not os.path.exists(tmp_path / "out")
 
-    # both read modes, as above
+    # both commands, as above
     @pytest.mark.parametrize("command", [
         ["estimate"], ["cross-section", "--axis", "t", "--level", "0.5"]])
     def test_field_that_is_a_directory_exits_nonzero(self, tmp_path, capsys,

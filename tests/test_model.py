@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from spde2d.errors import ConfigError
 from spde2d.model import (DerivedRatios, Mode, ModelParams, NoiseKind,
-                          contrast_coefficient, damping_factor,
-                          eigenfunction, eigenvalue, mu_value, sinpi)
-from spde2d.simulate import TruncationSpec, _mode_tables
+                          contrast_coefficient, damping_base, damping_factor,
+                          eigenfunction, eigenvalue, mode_grid,
+                          mode_volatility, mu_value, sinpi)
 
 PI2 = math.pi ** 2
 
@@ -63,18 +63,25 @@ class TestEigenvalue:
         assert eigenvalue(Mode(k, l + 1), params) > lam
 
 
-@pytest.mark.parametrize("kind", [NoiseKind.Q1, NoiseKind.Q2_KNOWN_MU0])
+@pytest.mark.parametrize("kind", list(NoiseKind))
 def test_scalars_equal_the_simulator_tables(kind):
-    # one operation order: the plug-ins' scalars are the simulated modes'
+    # the simulator and the oracles evaluate the mode grid, the plug-ins
+    # and the tests one mode: the two must agree bit for bit
     params = ModelParams(theta0=0.3, theta1=-0.7, eta1=0.45, theta2=0.37,
                          sigma=1.3, alpha=0.3, mu0=-3.1)
-    lam, base = _mode_tables(params, kind, TruncationSpec(K=40, L=40))
+    modes = mode_grid(40, 30)
+    lam = eigenvalue(modes, params)
+    base = damping_base(kind, modes, params)
+    vol = mode_volatility(kind, modes, params)
+    assert lam.shape == base.shape == vol.shape == (40, 30)
     for k in range(1, 41):
-        for l in range(1, 41):
-            assert lam[k - 1, l - 1] == eigenvalue(Mode(k, l), params)
-            expected = (mu_value(Mode(k, l), params.mu0) if kind.is_q2
-                        else eigenvalue(Mode(k, l), params))
-            assert base[k - 1, l - 1] == expected
+        for l in range(1, 31):
+            mode = Mode(k, l)
+            assert lam[k - 1, l - 1] == eigenvalue(mode, params)
+            assert base[k - 1, l - 1] == (
+                mu_value(mode, params.mu0) if kind.is_q2
+                else eigenvalue(mode, params))
+            assert vol[k - 1, l - 1] == mode_volatility(kind, mode, params)
 
 
 class TestMuValue:

@@ -12,10 +12,11 @@ import pytest
 
 from spde2d import _kernels_py, kernels
 from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
-from spde2d.model import Mode, ModelParams, NoiseKind, eigenvalue
+from spde2d.model import (Mode, ModelParams, NoiseKind, eigenvalue,
+                          factor_table)
 from spde2d.harness import ExperimentConfig, thinnings
 from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
-                             SpaceTimeGrid, TruncationSpec, _factor_table,
+                             SpaceTimeGrid, TruncationSpec,
                              observe_sample, simulate_coordinate_paths,
                              simulate_field, simulate_observation,
                              simulate_point_values)
@@ -155,6 +156,23 @@ class TestCoordinatePaths:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    # 648 bytes of output, or 8 of points and 72 of one slice, but 4,096
+    # noise streams: the sweep's 8 x 4,096 x (6 + 8) bytes exceed the budget
+    @pytest.mark.parametrize("simulate", [
+        lambda p, grid, trunc: simulate_field(
+            p, NoiseKind.Q1, grid, trunc, seed=SEED),
+        lambda p, grid, trunc: simulate_observation(
+            p, NoiseKind.Q1, grid, trunc, [1], [1], [0], seed=SEED),
+    ], ids=["field", "observation"])
+    def test_memory_budget_counts_the_sweep(self, reference_params,
+                                            monkeypatch, simulate):
+        monkeypatch.setattr("spde2d.simulate.MEMORY_BUDGET", 100_000)
+        with pytest.raises(MemoryBudgetError,
+                           match=r"needs \d+ bytes and its sweep 458752 more"
+                                 r", exceeding the budget of 100000"):
+            simulate(reference_params, SpaceTimeGrid(N=8, M1=2, M2=2),
+                     TruncationSpec(K=64, L=64))
+
 
 class TestNoiseContract:
     # sha256 of the coordinate-path bytes at a tiny configuration: two
@@ -217,10 +235,10 @@ class TestFieldSynthesis:
                                           trunc, seed=SEED)
         # project the stored paths slice by slice with the simulator's
         # factor tables; streaming must give the same bits
-        eyT = np.ascontiguousarray(_factor_table(
+        eyT = np.ascontiguousarray(factor_table(
             np.arange(1.0, trunc.K + 1), grid.ys(), reference_params.kappa).T)
-        ez = _factor_table(np.arange(1.0, trunc.L + 1), grid.zs(),
-                           reference_params.eta)
+        ez = factor_table(np.arange(1.0, trunc.L + 1), grid.zs(),
+                          reference_params.eta)
         via_paths = np.stack([eyT @ np.ascontiguousarray(paths[:, :, i]) @ ez
                               for i in range(grid.N + 1)])
         streamed = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
