@@ -175,7 +175,7 @@ class TestMonteCarlo:
                           "sigma2"]),
         ("q2-unknown-mu0", ["S", "kappa", "eta", "mu0", "theta1", "eta1",
                             "theta2", "sigma2"]),
-    ])
+    ], ids=["q2-known-mu0", "q2-unknown-mu0"])
     def test_q2_summary_rows(self, kind, names):
         config = ExperimentConfig.from_dict({
             **SMALL, "kind": kind, "replications": 1,
