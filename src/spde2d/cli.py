@@ -21,9 +21,9 @@ for _var in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"):
 
 from . import fieldio
 from .errors import ConfigError, GridMismatchError, MemoryBudgetError, ThinningError
-from .harness import (ExperimentConfig, cross_section, csv_text,
-                      default_config, estimate_field, load_config,
-                      run_monte_carlo, section_record, thinnings)
+from .harness import (ExperimentConfig, cross_section, default_config,
+                      estimate_field, load_config, run_monte_carlo,
+                      section_record, thinnings, write_csv)
 from .increments import (asymptotic_mean, expected_squared_increment_oracle)
 from .model import NoiseKind
 from .simulate import simulate_field
@@ -147,7 +147,7 @@ def _cmd_mc(args) -> int:
     table = run_monte_carlo(config, threads=args.threads)
     csv_path = _outpath(args, "summary.csv")
     with open(csv_path, "w") as fh:
-        fh.write(table.to_csv())
+        write_csv(fh, *table.csv())
     json_path = _outpath(args, "summary.json")
     with open(json_path, "w") as fh:
         fh.write(table.to_json())
@@ -176,7 +176,7 @@ def _cmd_oracle(args) -> int:
                  asymptotic_mean(config.params, config.kind, args.y, args.z)))
     path = _outpath(args, "oracle.csv")
     with open(path, "w") as fh:
-        fh.write(csv_text(("i", "expected_squared_increment"), rows))
+        write_csv(fh, ("i", "expected_squared_increment"), rows)
     print(f"wrote {path}")
     return 0
 
@@ -189,7 +189,7 @@ def _cmd_cross_section(args) -> int:
     name = f"cross_section_{args.axis}_{args.level}.csv"
     path = _outpath(args, name)
     with open(path, "w") as fh:
-        fh.write(section.to_csv())
+        write_csv(fh, *section.csv())
     print(f"wrote {path}")
     return 0
 

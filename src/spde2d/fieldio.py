@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 
 import numpy as np
 
@@ -41,15 +42,29 @@ def _meta_path(path: str) -> str:
 
 
 def write_field(field: FieldSample, path: str) -> None:
+    """Write ``field`` to a dump at ``path`` and its provenance to the
+    sidecar.  Both are written to temporary files beside them first, which
+    then replace them: a write that fails or is interrupted before that
+    leaves a previous dump and its sidecar as they were."""
     header = np.array([VERSION, field.grid.N, field.grid.M1, field.grid.M2],
                       dtype="<u4")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(header.tobytes())
-        np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
-    with open(_meta_path(path), "w") as fh:
-        json.dump(field.provenance, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    # one name per process and thread, so concurrent writers never share one
+    tmp = f".{os.getpid()}.{threading.get_ident()}.tmp"
+    dump, meta = path + tmp, _meta_path(path) + tmp
+    try:
+        with open(dump, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(header.tobytes())
+            np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
+        with open(meta, "w") as fh:
+            json.dump(field.provenance, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        os.replace(dump, path)
+        os.replace(meta, _meta_path(path))
+    finally:
+        for name in (dump, meta):
+            if os.path.exists(name):
+                os.remove(name)
 
 
 def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):

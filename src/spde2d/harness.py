@@ -13,6 +13,7 @@ summaries aggregate records in replication order.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
@@ -300,18 +301,26 @@ def diagnostics(config: ExperimentConfig) -> dict[str, float]:
     }
 
 
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    return repr(float(v)) if isinstance(v, float) else str(v)
+
+
+def write_csv(fh, columns, rows) -> None:
+    """CSV with a header line, written to the text file ``fh`` a line at a
+    time: floats written by ``repr`` (round-trip exact), ``None`` as an
+    empty cell, anything else by ``str``."""
+    fh.write(",".join(columns) + "\n")
+    for row in rows:
+        fh.write(",".join(_cell(v) for v in row) + "\n")
+
+
 def csv_text(columns, rows) -> str:
-    """CSV with a header line: floats written by ``repr`` (round-trip
-    exact), ``None`` as an empty cell, anything else by ``str``."""
-
-    def cell(v) -> str:
-        if v is None:
-            return ""
-        return repr(float(v)) if isinstance(v, float) else str(v)
-
-    lines = [",".join(columns)]
-    lines += [",".join(cell(v) for v in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """``write_csv``'s text as a string."""
+    out = io.StringIO()
+    write_csv(out, columns, rows)
+    return out.getvalue()
 
 
 @dataclass(frozen=True)
@@ -326,10 +335,13 @@ class SummaryTable:
     records: list
     config: dict = field(default_factory=dict)
 
-    def to_csv(self) -> str:
+    def csv(self):
+        """``(columns, rows)`` of the table for ``write_csv``."""
         columns = ("parameter", "true", "mean", "sd", "fail_count")
-        return csv_text(columns, ([row[c] for c in columns]
-                                  for row in self.rows))
+        return columns, ([row[c] for c in columns] for row in self.rows)
+
+    def to_csv(self) -> str:
+        return csv_text(*self.csv())
 
     def to_json(self) -> str:
         payload = {
@@ -412,9 +424,13 @@ class CrossSection:
             for j, b in enumerate(self.coords2):
                 yield (float(a), float(b)), float(self.values[i, j])
 
+    def csv(self):
+        """``(columns, rows)`` of the section for ``write_csv``."""
+        return (*self.names, "value"), ((a, b, v) for (a, b), v
+                                        in self.rows())
+
     def to_csv(self) -> str:
-        return csv_text((*self.names, "value"),
-                        ((a, b, v) for (a, b), v in self.rows()))
+        return csv_text(*self.csv())
 
 
 def _grid_index(coords: np.ndarray, level: float, what: str) -> int:

@@ -3,11 +3,14 @@
 Philox words come from ``_kernels_c``, which compiles ``_philox.c`` on
 first import, and from the NumPy reference in ``_kernels_py`` where that
 fails; ``BACKEND`` names the source (``"c"`` or ``"python"``).  The float
-work is elementwise and the same on both backends: the map to uniforms
-(NumPy's, or for the compiled words ``_philox.c``'s, which is exact by
-construction and so equal to it), ``ndtri``, the OU step and the
-compensated sum.  So their output is bit-identical: only integer words can
-differ, and the tests compare those and the two maps.
+work is elementwise and the same on both backends: the map to uniforms,
+``ndtri``, the OU step and the compensated sum.  With the compiled words,
+``ou_sweep`` runs a chunk's uniforms, ``ndtri`` and OU steps in
+``_philox.c`` too, in one call without the interpreter lock: its map is
+exact by construction, it calls the very ``ndtri`` loop that scipy
+registered and NumPy calls, and its step rounds as NumPy's three ufuncs do.
+So the output is bit-identical: only integer words can differ, and the
+tests compare those, the two maps and the two sweeps.
 
 ``normal_block`` is the reference form of the noise, one call on the
 calling thread.  ``ou_sweep`` is the only kernel that cuts the streams into
@@ -118,21 +121,37 @@ def normal_block(block, ctr2, ctr3, key0, key1):
 
 
 def _sweep_words(words):
-    """``(fill, chunk)`` for ``ou_sweep`` on ``words``: ``fill(block, ctr2,
-    ctr3, key0, key1, out)`` writes their uniforms to a float64 ``(n, 4)``
-    ``out``, and ``chunk`` streams make a chunk.  Compiled words, which
-    carry their module's ``fill`` (``_cbuild.compiled``), take that
-    compiled map and ``CHUNK`` (so does a ``functools.wraps`` wrapper of
-    them, which copies the attribute); others take the NumPy map and
-    ``2 * CHUNK``: a desk field on the NumPy words took a median 4.1 s in
-    16,384-stream chunks against 5.3 s in 8,192-stream ones on a 2-vCPU
-    host (7 alternated runs each)."""
-    if hasattr(words, "fill"):
-        return words.fill, CHUNK
+    """``(advance, chunk)`` for ``ou_sweep`` on ``words``.
 
-    def fill(block, ctr2, ctr3, key0, key1, out):
-        uniforms(words(block, ctr2, ctr3, key0, key1), out=out)
-    return fill, 2 * CHUNK
+    ``advance(lo, hi, chunk, block, ctr2, ctr3, key0, key1, decay, scale,
+    prev, tile)`` steps streams ``lo`` to ``hi - 1``, in chunks of
+    ``chunk``, through the rows of ``tile``, a ``(count, n)`` array: row
+    ``t`` is ``ou_step`` of row ``t - 1`` (of ``prev`` for ``t = 0``) by
+    lane ``t % 4`` of the normals of counter block ``block + t // 4``.
+    Compiled words, which carry their module's ``sweep``
+    (``_cbuild.compiled``), take that and ``CHUNK`` (so does a
+    ``functools.wraps`` wrapper of them, which copies the attribute);
+    others take the NumPy loop below and ``2 * CHUNK``: a desk field on the
+    NumPy words took a median 4.1 s in 16,384-stream chunks against 5.3 s
+    in 8,192-stream ones on a 2-vCPU host (7 alternated runs each)."""
+    if hasattr(words, "sweep"):
+        return words.sweep, CHUNK
+
+    def advance(lo, hi, chunk, block, ctr2, ctr3, key0, key1, decay, scale,
+                prev, tile):
+        noise = np.empty((min(chunk, hi - lo), 4))
+        for j in range(0, len(tile), 4):
+            for a in range(lo, hi, chunk):
+                b = min(a + chunk, hi)
+                z = noise[:b - a]
+                uniforms(words(block + j // 4, ctr2[a:b], ctr3[a:b], key0,
+                               key1[a:b]), out=z)
+                ndtri(z, out=z)
+                for t in range(j, min(j + 4, len(tile))):
+                    _ou_step(tile[t - 1, a:b] if t else prev[a:b],
+                             decay[a:b], scale[a:b], z[:, t - j],
+                             out=tile[t, a:b])
+    return advance, 2 * CHUNK
 
 
 def tile_steps(n):
@@ -152,13 +171,13 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
     each kernel thread takes a run of whole chunks of streams through the
     tile, block by block, drawing one chunk's uniforms (``philox_raw_block``
     read at call time, so swapping it swaps the words), mapping them by
-    ``ndtri`` in place and stepping the chunk's streams.  Then the tile's
-    ``visit`` calls are shared among the threads, in any order, where the
-    streams span several chunks; ``state`` is a view valid for the call
-    only.  ``x`` is not modified.
+    ``ndtri`` in place and stepping the chunk's streams (``_sweep_words``).
+    Then the tile's ``visit`` calls are shared among the threads, in any
+    order, where the streams span several chunks; ``state`` is a view valid
+    for the call only.  ``x`` is not modified.
     """
     n = len(x)
-    fill, chunk = _sweep_words(philox_raw_block)
+    advance, chunk = _sweep_words(philox_raw_block)
     visit(0, x)
     rows = min(tile_steps(n), steps)
     tile = np.empty((rows, n))
@@ -166,25 +185,15 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
     for first in range(0, steps, rows):
         count = min(rows, steps - first)
 
-        def advance(lo, hi):
-            noise = np.empty((min(chunk, hi - lo), 4))
-            for j in range(0, count, 4):
-                for a in range(lo, hi, chunk):
-                    b = min(a + chunk, hi)
-                    z = noise[:b - a]
-                    fill((first + j) // 4, ctr2[a:b], ctr3[a:b], key0,
-                         key1[a:b], z)
-                    ndtri(z, out=z)
-                    for t in range(j, min(j + 4, count)):
-                        _ou_step(tile[t - 1, a:b] if t else prev[a:b],
-                                 decay[a:b], scale[a:b], z[:, t - j],
-                                 out=tile[t, a:b])
+        def run(lo, hi):
+            advance(lo, hi, chunk, first // 4, ctr2, ctr3, key0, key1, decay,
+                    scale, prev, tile[:count])
 
         def project(lo, hi):
             for t in range(lo, hi):
                 visit(first + t + 1, tile[t])
 
-        _share(advance, n, chunk)
+        _share(run, n, chunk)
         # A tile of one chunk keeps its projections too: at K=L=8 to 64 on
         # a 50x50 grid they are too small to pay for the threads' handoffs
         # (a field took 27 against 21 ms at K=L=8, 184 against 165 ms at 64).

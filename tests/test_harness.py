@@ -376,6 +376,28 @@ class TestFieldIo:
         assert back.grid == field.grid
         assert back.provenance == field.provenance
 
+    def test_failed_write_leaves_the_previous_dump_and_sidecar(
+            self, reference_params, tmp_path, monkeypatch):
+        grid = SpaceTimeGrid(N=4, M1=5, M2=6)
+        old, new = (simulate_field(reference_params, NoiseKind.Q1, grid,
+                                   TruncationSpec(K=3, L=3), seed=RngSeed(s))
+                    for s in (9, 10))
+        path = tmp_path / "f.bin"
+        fieldio.write_field(old, str(path))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert sorted(before) == ["f.bin", "f.bin.meta.json"]
+
+        def fail(*args, **kwargs):
+            raise OSError("no space left for the sidecar")
+        monkeypatch.setattr(fieldio.json, "dump", fail)
+        with pytest.raises(OSError, match="sidecar"):
+            fieldio.write_field(new, str(path))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        monkeypatch.undo()
+        back = fieldio.read_field(str(path))
+        assert np.array_equal(back.values, old.values)
+        assert back.provenance == old.provenance != new.provenance
+
     # cut < 0 drops bytes from the end, cut > 0 appends zero bytes; the
     # dump holds 16 header bytes after the magic and 48 values, so -395
     # and -392 end inside the header, after 5 and 8 of its bytes.  "n=..."
@@ -482,6 +504,28 @@ class TestFieldIo:
         written = tmp_path / f"cross_section_{axis}_{level}.csv"
         assert written.read_text() == cross_section_dump(
             field, axis, level).to_csv()
+
+    def test_section_command_writes_its_csv_a_line_at_a_time(self, tmp_path):
+        # the y section of a dump of field_io's grid is 51,051 lines (1.5
+        # MB) of CSV; joined in memory with the list of its lines it took
+        # five times that, written a line at a time the peak is the 1 MiB
+        # read buffer and the 408 kB section
+        grid = SpaceTimeGrid(N=1000, M1=50, M2=50)
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(FieldSample(
+            values=np.random.default_rng(3).standard_normal((1001, 51, 51)),
+            grid=grid, provenance={}), path)
+        tracemalloc.start()
+        try:
+            assert cli_main(["cross-section", "--field", path, "--axis", "y",
+                             "--level", "0.5", "--out-dir",
+                             str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        written = tmp_path / "cross_section_y_0.5.csv"
+        assert written.stat().st_size > 10 ** 6
+        assert peak < 2 * written.stat().st_size
 
 
 class TestCli:
@@ -786,9 +830,9 @@ class TestPhiloxPaths:
         monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
         assert outputs() == reference
         # the fixture's words are compiled: the sweep takes their compiled
-        # map and chunks, not the NumPy map the reference ran
-        assert kernels._sweep_words(compiled_words) == (compiled_philox.fill,
-                                                        kernels.CHUNK)
+        # sweep and chunks, not the NumPy loop the reference ran
+        assert kernels._sweep_words(compiled_words) == (
+            compiled_philox.sweep, kernels.CHUNK)
         assert kernels._sweep_words(_kernels_py.philox_raw_block)[1] == (
             2 * kernels.CHUNK)
 

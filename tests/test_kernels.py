@@ -3,6 +3,8 @@ NumPy words and the compiled ones, bit-identity between the two, and the
 on-demand build of the compiled words."""
 
 import ctypes
+import importlib.machinery
+import importlib.util
 import math
 import multiprocessing
 import os
@@ -10,10 +12,12 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.special
 
 import spde2d
 import spde2d._kernels_py as pyk
@@ -99,7 +103,7 @@ def test_chunk_follows_the_word_source():
     assert kernels._sweep_words(pyk.philox_raw_block)[1] == 16384
     if kernels.BACKEND == "c":
         assert kernels._sweep_words(kernels.philox_raw_block) == (
-            kernels._words.fill, 8192)
+            kernels._words._philox.sweep, 8192)
 
 
 def _sweep(c2, c3, k1, key0, steps, decay, scale):
@@ -254,33 +258,153 @@ def test_compiled_uniform_map_matches_numpy_on_edge_words(compiled_u53, rng):
 
 
 @pytest.mark.parametrize("n", [1, 7, 4096])
-def test_compiled_fill_writes_the_uniforms_of_its_words(compiled_philox, n):
+def test_compiled_sweep_draws_the_normals_of_its_words(compiled_philox, n):
+    # with decay 0 and scale 1 row t of the tile is lane t of the block
     c2, c3, k1 = _edge_streams(n)
+    zeros, ones = np.zeros(n), np.ones(n)
     for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
-        words = np.empty((n, 4), dtype=np.uint64)
-        u = np.empty((n, 4))
-        compiled_philox.fill(block, c2, c3, key0, k1, words)
-        compiled_philox.fill(block, c2, c3, key0, k1, u)
-        assert np.array_equal(words,
-                              pyk.philox_raw_block(block, c2, c3, key0, k1))
-        assert np.array_equal(u.view(np.uint64),
-                              pyk.uniforms(words).view(np.uint64))
+        tile = np.empty((4, n))
+        compiled_philox.sweep(0, n, kernels.CHUNK, block, c2, c3, key0, k1,
+                              zeros, ones, zeros, tile)
+        assert np.array_equal(tile.T.view(np.uint64), pyk.normal_block(
+            block, c2, c3, key0, k1).view(np.uint64))
 
 
-def test_compiled_fill_rejects_bad_uniform_buffers(compiled_philox):
+def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
     c2 = np.arange(8, dtype=np.uint64)
-    fill = compiled_philox.fill
-    for out in (np.empty((8, 4), dtype=np.float32),   # 4-byte reals
-                np.empty((7, 4)), np.empty((9, 4)),   # wrong length
-                np.empty((8, 4), dtype=np.int64),     # signed words
-                np.empty((8, 4), dtype=np.complex64),
-                np.empty((4, 8))[:, ::2]):            # not contiguous
+    x = np.zeros(8)
+
+    def sweep(*, lo=0, hi=8, chunk=4, ctr2=c2, decay=x, prev=x,
+              tile=np.empty((2, 8))):
+        compiled_philox.sweep(lo, hi, chunk, 0, ctr2, c2, 1, c2, decay, x,
+                              prev, tile)
+    sweep()
+    for tile in (np.empty((8, 4), dtype=np.float32),  # 4-byte reals
+                 np.empty((7, 4)), np.empty((9, 4)),  # not a multiple of 8
+                 np.empty((0, 8)),                    # no row
+                 np.empty((8, 4), dtype=np.int64),    # signed words
+                 np.empty((8, 4), dtype=np.complex64),
+                 np.empty((4, 8))[:, ::2],            # not contiguous
+                 np.frombuffer(bytes(128)).reshape(2, 8)):   # read-only
         with pytest.raises(ValueError):
-            fill(0, c2, c2, 1, c2, out)
+            sweep(tile=tile)
+    for kwargs in ({"ctr2": c2.astype(np.float64)},    # real counters
+                   {"ctr2": c2[:7]},                   # short ctr2
+                   {"decay": c2},                      # words for reals
+                   {"decay": x[:7]},                   # short decay
+                   {"prev": np.zeros(16)[::2]},        # not contiguous
+                   {"lo": -1}, {"lo": 5, "hi": 4}, {"hi": 9}, {"chunk": 0}):
+        with pytest.raises(ValueError):
+            sweep(**kwargs)
+
+
+def _ou_paths(words, x, decay, scale, c2, c3, k1, steps):
+    """The states of ``ou_sweep`` on ``words``, ``(steps + 1, n)``."""
+    states = np.empty((steps + 1, len(x)))
+
+    def visit(i, state):
+        states[i] = state
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "philox_raw_block", words)
+        kernels.ou_sweep(x, decay, scale, c2, c3, 20220121, k1, steps, visit)
+    return states
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
+                               kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
+                               65536])
+def test_compiled_sweep_equals_the_numpy_words_path(compiled_words, n,
+                                                    threads, monkeypatch):
+    # random decay and scale from a nonzero start; 1, 2, 3 and 9 steps, the
+    # last over three tiles at 65,536 streams and two at 16,391
+    monkeypatch.setattr(kernels, "_threads", threads)
+    rng = np.random.default_rng(n)
+    c2, c3, k1 = _edge_streams(n)
+    x = rng.normal(size=n)
+    decay, scale = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0, n)
+    for steps in (1, 2, 3, 9) if n < 65536 else (9,):
+        got = _ou_paths(compiled_words, x, decay, scale, c2, c3, k1, steps)
+        want = _ou_paths(pyk.philox_raw_block, x, decay, scale, c2, c3, k1,
+                         steps)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_compiled_sweep_does_not_contract_the_step(compiled_philox):
+    # On these inputs a fused multiply-add, fma(x, d, s*z) or fma(s, z,
+    # x*d), differs from NumPy's two roundings of x*d + s*z: a module
+    # compiled free to contract the step (gcc -ffp-contract=fast with FMA
+    # instructions) fails here.
+    n = 4096
+    c2, c3, k1 = _edge_streams(n)
+    z = pyk.normal_block(3, c2, c3, 5, k1)[:, 0]
+    rng = np.random.default_rng(7)
+    x, d, s = rng.normal(size=n), rng.uniform(size=n), rng.uniform(size=n)
+    two = x * d + s * z
+    fused = [float(Fraction(a) * Fraction(b) + Fraction(c * w)) != r
+             and float(Fraction(c) * Fraction(w) + Fraction(a * b)) != r
+             for a, b, c, w, r in zip(x, d, s, z, two)]
+    c2, c3, k1, x, d, s, z, two = (v[fused] for v in (c2, c3, k1, x, d, s,
+                                                       z, two))
+    assert len(x) > 100
+    tile = np.empty((4, len(x)))
+    compiled_philox.sweep(0, len(x), kernels.CHUNK, 3, c2, c3, 5, k1, d, s,
+                          x, tile)
+    want = x.copy()
+    pyk.ou_step(want, d, s, z)
+    assert np.array_equal(want, two)
+    assert np.array_equal(tile[0], want)
+
+
+def _unbound_copy(compiled_philox, tmp_path):
+    """The compiled module loaded from a copy of its file: a new shared
+    object, loaded without ``_cbuild.load``'s binding."""
+    path = tmp_path / Path(compiled_philox.__file__).name
+    shutil.copy(compiled_philox.__file__, path)
+    loader = importlib.machinery.ExtensionFileLoader("spde2d._philox",
+                                                     str(path))
+    spec = importlib.util.spec_from_loader("spde2d._philox", loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
+
+
+def _sweep_one_stream(module):
+    """Row 0 to 3 of ``module.sweep`` with decay 0 and scale 1, one stream."""
+    one = np.ones(1, dtype=np.uint64)
+    tile = np.empty((4, 1))
+    module.sweep(0, 1, 1, 0, one, one, 0, one, np.zeros(1), np.ones(1),
+                 np.zeros(1), tile)
+    return tile[:, 0]
+
+
+def test_unbound_sweep_raises(compiled_philox, tmp_path):
+    with pytest.raises(RuntimeError, match="bind"):
+        _sweep_one_stream(_unbound_copy(compiled_philox, tmp_path))
+
+
+def test_sweep_reports_the_errors_of_its_loop(compiled_philox, tmp_path):
+    # scipy's ndtri_exp has a domain error on every uniform; scipy sets it
+    # as a Python exception where asked to raise
+    module = _unbound_copy(compiled_philox, tmp_path)
+    module.bind(scipy.special.ndtri_exp)
+    assert np.isnan(_sweep_one_stream(module)).all()
+    with scipy.special.errstate(domain="raise"):
+        with pytest.raises(scipy.special.SpecialFunctionError):
+            _sweep_one_stream(module)
+
+
+def test_bind_takes_only_a_float64_ufunc_loop(compiled_philox):
+    with pytest.raises(TypeError):
+        compiled_philox.bind(lambda u: u)
     with pytest.raises(ValueError):
-        fill(0, c2.astype(np.float64), c2, 1, c2, np.empty((8, 4)))
-    with pytest.raises(ValueError):                   # read-only
-        fill(0, c2, c2, 1, c2, np.frombuffer(bytes(256)).reshape(8, 4))
+        compiled_philox.bind(np.invert)       # integer and bool loops only
+    with pytest.raises(ValueError):
+        compiled_philox.bind(np.add)          # two inputs
+    # the refused binds leave scipy's ndtri bound
+    one = np.ones(1, dtype=np.uint64)
+    assert np.array_equal(_sweep_one_stream(compiled_philox),
+                          pyk.normal_block(0, one, one, 0, one)[0])
 
 
 def test_normal_map_is_inverse_cdf_of_top_bits(rng):
