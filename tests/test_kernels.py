@@ -1,6 +1,7 @@
 """Kernels: stream correctness against the numpy Philox oracle, for the
-NumPy words and the compiled ones, bit-identity between the two, and the
-on-demand build of the compiled words."""
+NumPy words and the compiled ones, bit-identity between the two and
+between the compiled sweep and the NumPy loop, and the on-demand build of
+the compiled words."""
 
 import ctypes
 import importlib.machinery
