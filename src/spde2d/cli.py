@@ -57,6 +57,16 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(overrides)
 
 
+def _check_out_dir(path: str) -> None:
+    """Refuse, before any work, an output directory that cannot be made:
+    the path, or else its nearest existing ancestor, is not a directory."""
+    existing = os.path.abspath(path)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"--out-dir {path}: {existing} is not a directory")
+
+
 def _outpath(args, name: str) -> str:
     os.makedirs(args.out_dir, exist_ok=True)
     return os.path.join(args.out_dir, name)
@@ -240,6 +250,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_dir(args.out_dir)
         return args.func(args)
     except (ConfigError, GridMismatchError, ThinningError, MemoryBudgetError,
             FileNotFoundError) as exc:

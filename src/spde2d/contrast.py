@@ -103,7 +103,8 @@ def contrast_gradient(zfield: SquaredIncrementField, thin: SpaceThinning,
 
 def profile_scale(zfield: SquaredIncrementField, thin: SpaceThinning,
                   kappa: float, eta: float, alpha: float,
-                  scale_box: tuple[float, float] = (1e-3, 1e3)) -> float:
+                  scale_box: tuple[float, float] = ContrastConfig.scale_box
+                  ) -> float:
     """Closed-form scale minimizing the contrast at fixed (kappa, eta),
     clamped to the box (linear least squares in the scale)."""
     _check_fields(zfield, thin)

@@ -11,10 +11,11 @@ Layout of a field dump (all integers little-endian):
 Provenance travels in a JSON sidecar ``<path>.meta.json`` written next to
 the dump and re-attached on read when present.
 
-``read_field`` reads the whole field, or with ``record=`` only an
-observation record (what estimation reads, or one cross section), streamed
-through a buffer of whole time slices: a dump grows as N M1 M2, its record
-as N m1 m2 + n M1 M2.  ``read_grid`` reads the header alone.
+``read_field`` reads an observation record (what estimation reads, or one
+cross section), streamed through a buffer of whole time slices: a dump
+grows as N M1 M2, its record as N m1 m2 + n M1 M2.  The whole field is the
+record with no points and every time coarse.  ``read_grid`` reads the
+header alone.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def write_field(field: FieldSample, path: str) -> None:
                 os.remove(name)
 
 
-def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):
+def _blocks(fh, path: str, grid: SpaceTimeGrid):
     """The dump's values after the header, as runs of whole time slices
     read into one reused buffer of at most ``BLOCK_BYTES`` (one slice where
     a slice is larger)."""
@@ -77,6 +78,7 @@ def _blocks(fh, path: str, grid: SpaceTimeGrid, count: int):
     for first in range(0, grid.N + 1, rows):
         block = buf[:grid.N + 1 - first]
         if fh.readinto(block) != block.nbytes:
+            count = (grid.N + 1) * shape[0] * shape[1]
             raise ConfigError(f"{path} is truncated ({count} values expected)")
         yield block
 
@@ -126,25 +128,22 @@ def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
     before any value is read.  With ``record=(index_y, index_z, coarse)``
     it returns the dump's ``Observation`` at those indices, equal to
     ``observe_sample(read_field(path), *record)``, and never holds the
-    field: the values are read in blocks of ``BLOCK_BYTES``.
+    field: the values are read in blocks of ``BLOCK_BYTES``.  Without it,
+    the field is the slices of the record ``([], [], range(N+1))``.
     """
     with _open(path) as fh:
         found = _header(fh, path)
-        n, m1, m2 = found.N, found.M1, found.M2
-        count = (n + 1) * (m1 + 1) * (m2 + 1)
         if grid is not None and found != grid:
             raise GridMismatchError(
-                f"field grid ({n}, {m1}, {m2}) does not match the expected "
-                f"grid ({grid.N}, {grid.M1}, {grid.M2})")
-        if record is not None:
-            blocks = _blocks(fh, path, found, count)
-            return observe_slices(found, blocks, *record,
-                                  provenance=_provenance(path))
-        data = np.empty((n + 1, m1 + 1, m2 + 1), dtype="<f8")
-        if fh.readinto(data) != 8 * count:
-            raise ConfigError(f"{path} is truncated ({count} values expected)")
-    values = data.astype(np.float64, copy=False)
-    return FieldSample(values=values, grid=found, provenance=_provenance(path))
+                f"field grid ({found.N}, {found.M1}, {found.M2}) does not "
+                f"match the expected grid ({grid.N}, {grid.M1}, {grid.M2})")
+        whole = record is None
+        obs = observe_slices(
+            found, _blocks(fh, path, found),
+            *(([], [], range(found.N + 1)) if whole else record),
+            provenance=_provenance(path))
+    return (FieldSample(values=obs.slices, grid=found,
+                        provenance=obs.provenance) if whole else obs)
 
 
 def _provenance(path: str) -> dict:
@@ -153,6 +152,8 @@ def _provenance(path: str) -> dict:
     meta = _meta_path(path)
     if not os.path.exists(meta):
         return {}
+    if os.path.isdir(meta):
+        raise ConfigError(f"{meta} is a directory, not a sidecar")
     with open(meta, "rb") as fh:
         try:
             return json.load(fh)

@@ -285,10 +285,7 @@ def diagnostics(config: ExperimentConfig) -> dict[str, float]:
     g = config.exponents.gamma
     eps = config.exponents.epsilon
     n = config.thinning.n
-    thin = build_space_thinning(config.grid.M1, config.grid.M2,
-                                config.thinning.mbar1, config.thinning.mbar2,
-                                config.thinning.delta)
-    m = thin.m
+    m = thinnings(config)[0].m
     nn = config.grid.N
     mmin = min(config.grid.M1, config.grid.M2)
     return {

@@ -29,11 +29,6 @@ class TimeThinning:
     points: np.ndarray
     indices: np.ndarray
 
-    @property
-    def horizon(self) -> float:
-        """Last coarse time actually used (<= 1)."""
-        return float(self.points[-1])
-
 
 def build_time_thinning(N: int, n: int) -> TimeThinning:
     if not (1 <= n <= N):

@@ -3,17 +3,17 @@
 Each mode coefficient is an Ornstein-Uhlenbeck process sampled by its exact
 transition (no time-discretization bias); the field is the truncated
 eigenfunction series evaluated on the lattice, and its observation record
-the part of it that estimation reads.  Every mode owns an
-independent counter-based noise stream keyed by ``(seed, replication)``
-with counter words ``(k, l)``, so results are reproducible bit-for-bit
-regardless of scheduling and the contribution of modes below a cutoff does
-not change when the cutoff grows.
+the part of it that estimation reads; a field is the record with no points
+and every time coarse.  Every mode owns an independent counter-based noise
+stream keyed by ``(seed, replication)`` with counter words ``(k, l)``, so
+results are reproducible bit-for-bit regardless of scheduling and the
+contribution of modes below a cutoff does not change when the cutoff grows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -139,7 +139,8 @@ class Observation:
     the coarse time indices ``coarse``, shape ``(n+1, M1+1, M2+1)``.  Built
     from a field's slices by ``observe_slices`` (``observe_sample`` for a
     field in memory, ``fieldio.read_field`` for a dump), or by
-    ``simulate_observation`` without them.
+    ``simulate_observation`` without them.  The record ``([], [],
+    range(N+1))`` holds the whole field in ``slices``.
     """
 
     points: np.ndarray
@@ -214,7 +215,8 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
              first_rep: int, n_reps: int, shape: tuple, project,
              what: str) -> np.ndarray:
     """``project(state)`` at t_0, ..., t_N for replications ``first_rep ..
-    first_rep+n_reps-1``, shape ``(n_reps, N+1, *shape)``.
+    first_rep+n_reps-1``, shape ``(n_reps, N+1, *shape)``: the batched
+    simulators that do not project onto the lattice.
 
     ``project`` maps the ``(reps, K*L)`` sweep state of a chunk of
     replications to values that broadcast to ``(reps, *shape)``; it runs on
@@ -238,17 +240,6 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     return out
 
 
-def _lattice_tables(params: ModelParams, grid: SpaceTimeGrid,
-                    trunc: TruncationSpec):
-    """Eigenfunction factor tables ``eyT`` (M1+1, K) and ``ez`` (L, M2+1)
-    of the lattice: the field slice of mode state ``x`` is ``eyT @ x @
-    ez``."""
-    eyT = np.ascontiguousarray(
-        factor_table(np.arange(1, trunc.K + 1), grid.ys(), params.kappa).T)
-    ez = factor_table(np.arange(1, trunc.L + 1), grid.zs(), params.eta)
-    return eyT, ez
-
-
 def _observed_indices(grid: SpaceTimeGrid, index_y, index_z, coarse):
     """The indices of an observation record as int64 arrays: lattice
     indices in y and z, and strictly increasing time indices."""
@@ -270,11 +261,7 @@ def _observed_indices(grid: SpaceTimeGrid, index_y, index_z, coarse):
 def _provenance(params: ModelParams, kind: NoiseKind, trunc: TruncationSpec,
                 seed: RngSeed, rep: int) -> dict:
     return {
-        "params": {
-            "theta0": params.theta0, "theta1": params.theta1,
-            "eta1": params.eta1, "theta2": params.theta2,
-            "sigma": params.sigma, "alpha": params.alpha, "mu0": params.mu0,
-        },
+        "params": asdict(params),
         "kind": kind.value,
         "truncation": [trunc.K, trunc.L],
         "seed": seed.master,
@@ -305,19 +292,12 @@ def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
 def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
                    trunc: TruncationSpec, init: InitialCondition = ZERO_INITIAL,
                    seed: RngSeed = RngSeed(0), *, rep: int = 0) -> FieldSample:
-    """Simulate the field on the full lattice, streaming over time slices.
-
-    Only the current (K, L) mode state is held in memory; the mode-path
-    matrix is never materialized.  Slice ``i`` is ``ey^T @ x_i @ ez`` with
-    the eigenfunction factor tables ``ey`` and ``ez`` of the lattice.
-    """
-    eyT, ez = _lattice_tables(params, grid, trunc)
-    values = _observe(params, kind, grid, trunc, init, seed, rep, 1,
-                      (grid.M1 + 1, grid.M2 + 1),
-                      lambda x: eyT @ x.reshape(trunc.K, trunc.L) @ ez,
-                      "field sample")
-    return FieldSample(values=values[0], grid=grid,
-                       provenance=_provenance(params, kind, trunc, seed, rep))
+    """Simulate the field on the full lattice: the slices of its observation
+    record with no points and every time coarse."""
+    obs = simulate_observation(params, kind, grid, trunc, [], [],
+                               range(grid.N + 1), init, seed, rep=rep)
+    return FieldSample(values=obs.slices, grid=grid,
+                       provenance=obs.provenance)
 
 
 def observe_slices(grid: SpaceTimeGrid, blocks, index_y, index_z, coarse,
@@ -363,13 +343,15 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
                          seed: RngSeed = RngSeed(0), *, rep: int = 0
                          ) -> Observation:
     """``observe_sample(simulate_field(..., rep=rep), index_y, index_z,
-    coarse)``, bit for bit, without the field.
+    coarse)``, bit for bit, without the field (``simulate_field`` is this
+    record with no points and every time coarse).
 
-    It runs ``simulate_field``'s sweep with a projection that knows the
-    step.  At a fine step it projects the mode state onto the rows of the
-    points alone, ``(eyT[index_y] @ x @ ez)[:, index_z]``, at m1 (K + M2+1)
-    L multiply-adds instead of the (M1+1) (K + M2+1) L of a slice; at a
-    coarse step it projects onto the whole lattice, ``eyT @ x @ ez``, and
+    It runs one sweep with a projection that knows the step.  With the
+    eigenfunction factor tables ``eyT`` (M1+1, K) and ``ez`` (L, M2+1) of
+    the lattice, at a fine step it projects the mode state onto the rows of
+    the points alone, ``(eyT[index_y] @ x @ ez)[:, index_z]``, at m1 (K +
+    M2+1) L multiply-adds instead of the (M1+1) (K + M2+1) L of a slice; at
+    a coarse step it projects onto the whole lattice, ``eyT @ x @ ez``, and
     takes the points from that slice.
 
     The restricted product equals the slice at the points only as far as
@@ -389,7 +371,9 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
     points = np.empty(points_shape)
     slices = np.empty((len(coarse), *shape))
     slot = dict(zip(coarse.tolist(), range(len(coarse))))
-    eyT, ez = _lattice_tables(params, grid, trunc)
+    eyT = np.ascontiguousarray(
+        factor_table(np.arange(1, trunc.K + 1), grid.ys(), params.kappa).T)
+    ez = factor_table(np.arange(1, trunc.L + 1), grid.zs(), params.eta)
     eyT_points = eyT[index_y]
 
     def visit(i, states):

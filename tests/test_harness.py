@@ -446,7 +446,7 @@ class TestFieldIo:
         path = str(tmp_path / "f.bin")
         fieldio.write_field(field, path)
         where = ([1, 2], [0, 3, 4], [0, 2, 3, 8, 9, 10])
-        want = observe_sample(fieldio.read_field(path), *where)
+        want = observe_sample(field, *where)
         monkeypatch.setattr(fieldio, "BLOCK_BYTES", block_bytes)
         got = fieldio.read_field(path, grid=grid, record=where)
         assert np.array_equal(got.points, want.points)
@@ -552,7 +552,8 @@ class TestCli:
 
     def test_estimate_matches_replication(self, tmp_path):
         # estimate on a dumped field reproduces the in-process record, which
-        # run_replication computes from an observation record alone
+        # run_replication computes from an observation record alone, and
+        # the record of the field in memory
         for kind in ("q1", "q2-known-mu0", "q2-unknown-mu0"):
             config = {**SMALL, "kind": kind,
                       "params": {**SMALL["params"], "mu0": 0.5}}
@@ -566,8 +567,12 @@ class TestCli:
                              "--out-dir", out]) == 0
             with open(os.path.join(out, "estimate.json")) as fh:
                 record = json.load(fh)
-            direct = run_replication(ExperimentConfig.from_dict(config), 0)
+            cfg = ExperimentConfig.from_dict(config)
+            direct = run_replication(cfg, 0)
             assert record == direct.to_dict(), kind
+            field = simulate_field(cfg.params, cfg.kind, cfg.grid, cfg.trunc,
+                                   seed=cfg.seed, rep=0)
+            assert estimate_field(cfg, field).to_dict() == record, kind
 
     def test_mc_outputs(self, tmp_path):
         cfg = self._write_config(tmp_path)
@@ -735,6 +740,25 @@ class TestCli:
     # both commands, as above
     @pytest.mark.parametrize("command", [
         ["estimate"], ["cross-section", "--axis", "t", "--level", "0.5"]])
+    def test_sidecar_that_is_a_directory_exits_nonzero(self, tmp_path, capsys,
+                                                       command):
+        out = str(tmp_path)
+        field = os.path.join(out, "field.bin")
+        cfg = self._variant(tmp_path, "cfg.json")
+        assert cli_main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        os.remove(field + ".meta.json")
+        os.mkdir(field + ".meta.json")
+        capsys.readouterr()
+        config = ["--config", cfg] if command[0] == "estimate" else []
+        assert cli_main([*command, *config, "--field", field,
+                         "--out-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {field}.meta.json is a directory, not a sidecar\n")
+        assert not os.path.exists(tmp_path / "out")
+
+    # both commands, as above
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["cross-section", "--axis", "t", "--level", "0.5"]])
     def test_field_that_is_a_directory_exits_nonzero(self, tmp_path, capsys,
                                                      command):
         config = (["--config", self._write_config(tmp_path)]
@@ -795,6 +819,22 @@ class TestCli:
         assert capsys.readouterr().err == (
             f"error: threads must be an integer >= 1, got {threads}\n")
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "in_file"])
+    def test_out_dir_that_is_not_a_directory_exits_before_the_work(
+            self, tmp_path, capsys, monkeypatch, under):
+        # refused up front, not by a traceback once every replication ran
+        def run_monte_carlo(*args, **kwargs):
+            raise AssertionError("mc ran with an unusable --out-dir")
+
+        monkeypatch.setattr("spde2d.cli.run_monte_carlo", run_monte_carlo)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = blocker / "mc" if under else blocker
+        assert cli_main(["mc", "--config", self._write_config(tmp_path),
+                         "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --out-dir {out}: {blocker} is not a directory\n")
 
 
 class TestPhiloxPaths:

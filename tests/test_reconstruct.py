@@ -37,7 +37,6 @@ class TestTimeThinning:
         tt = build_time_thinning(10, 3)
         assert tt.step == 3
         assert np.allclose(tt.points, [0.0, 0.3, 0.6, 0.9])
-        assert tt.horizon == pytest.approx(0.9)
 
     def test_identity_thinning(self):
         tt = build_time_thinning(8, 8)
