@@ -60,10 +60,10 @@ def _load(args) -> ExperimentConfig:
 def _check_out_dir(path: str) -> None:
     """Refuse, before any work, an output directory that cannot be made:
     the path, or else its nearest existing ancestor, is not a directory."""
-    existing = os.path.abspath(path)
-    while not os.path.lexists(existing):
+    existing = path
+    while existing and not os.path.lexists(existing):
         existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
+    if existing and not os.path.isdir(existing):
         raise ConfigError(f"--out-dir {path}: {existing} is not a directory")
 
 

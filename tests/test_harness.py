@@ -820,7 +820,8 @@ class TestCli:
             f"error: threads must be an integer >= 1, got {threads}\n")
         assert not os.path.exists(out)
 
-    @pytest.mark.parametrize("under", [False, True], ids=["file", "in_file"])
+    @pytest.mark.parametrize("under", ["", "mc", "../mc"],
+                             ids=["file", "in_file", "through_file"])
     def test_out_dir_that_is_not_a_directory_exits_before_the_work(
             self, tmp_path, capsys, monkeypatch, under):
         # refused up front, not by a traceback once every replication ran
@@ -830,9 +831,9 @@ class TestCli:
         monkeypatch.setattr("spde2d.cli.run_monte_carlo", run_monte_carlo)
         blocker = tmp_path / "file"
         blocker.write_text("")
-        out = blocker / "mc" if under else blocker
+        out = os.path.join(blocker, under) if under else str(blocker)
         assert cli_main(["mc", "--config", self._write_config(tmp_path),
-                         "--out-dir", str(out)]) == 1
+                         "--out-dir", out]) == 1
         assert capsys.readouterr().err == (
             f"error: --out-dir {out}: {blocker} is not a directory\n")
 
