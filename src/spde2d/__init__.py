@@ -24,7 +24,7 @@ from .plugins import (CovarianceMatrix, PluginEstimates, covariance_J,
 from .reconstruct import (ApproxCoordinatePath, TimeThinning,
                           VolatilityEstimate, approx_coordinate,
                           build_time_thinning, realized_qv)
-from .simulate import (FieldSample, InitialCondition, RngSeed, SpaceTimeGrid,
+from .simulate import (InitialCondition, Observation, RngSeed, SpaceTimeGrid,
                        TruncationSpec, simulate_coordinate_paths,
                        simulate_field, simulate_point_values)
 

@@ -3,8 +3,9 @@
 Subcommands: ``simulate`` (field dump), ``estimate`` (single pipeline on a
 stored field), ``mc`` (Monte Carlo summary), ``oracle`` (expected
 squared-increment and asymptotic-mean table), ``cross-section`` (figure
-data).  Exit status 0 on success and 1 on configuration errors; estimation
-failure tags are data, recorded in the outputs, not process errors.
+data).  Exit status 0 on success and 1 on configuration and file errors;
+estimation failure tags are data, recorded in the outputs, not process
+errors.
 """
 
 from __future__ import annotations
@@ -57,19 +58,32 @@ def _load(args) -> ExperimentConfig:
     return ExperimentConfig.from_dict(overrides)
 
 
-def _check_out_dir(path: str) -> None:
-    """Refuse, before any work, an output directory that cannot be made:
-    the path, or else its nearest existing ancestor, is not a directory."""
+def _check_dir(path: str, what: str) -> None:
+    """Refuse a directory that cannot be made: the path, or else its
+    nearest existing ancestor, is not a directory."""
     existing = path
     while existing and not os.path.lexists(existing):
         existing = os.path.dirname(existing)
     if existing and not os.path.isdir(existing):
-        raise ConfigError(f"--out-dir {path}: {existing} is not a directory")
+        raise ConfigError(f"{what}: {existing} is not a directory")
+
+
+def _check_outputs(args) -> None:
+    """Refuse, before any work, an ``--out-dir`` that cannot be made and an
+    output file of the command that cannot be written there: one that is a
+    directory, or whose directory cannot be made."""
+    _check_dir(args.out_dir, f"--out-dir {args.out_dir}")
+    for name in args.outputs(args):
+        path = os.path.join(args.out_dir, name)
+        if os.path.basename(path) in ("", ".", "..") or os.path.isdir(path):
+            raise ConfigError(f"{path} is a directory, not an output file")
+        _check_dir(os.path.dirname(path), path)
 
 
 def _outpath(args, name: str) -> str:
-    os.makedirs(args.out_dir, exist_ok=True)
-    return os.path.join(args.out_dir, name)
+    path = os.path.join(args.out_dir, name)
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    return path
 
 
 def _cmd_simulate(args) -> int:
@@ -196,12 +210,15 @@ def _cmd_cross_section(args) -> int:
     record = section_record(grid, args.axis, args.level)
     obs = fieldio.read_field(args.field, grid=grid, record=record)
     section = cross_section(obs, args.axis, args.level)
-    name = f"cross_section_{args.axis}_{args.level}.csv"
-    path = _outpath(args, name)
+    path = _outpath(args, _section_name(args))
     with open(path, "w") as fh:
         write_csv(fh, *section.csv())
     print(f"wrote {path}")
     return 0
+
+
+def _section_name(args) -> str:
+    return f"cross_section_{args.axis}_{args.level}.csv"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,7 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_options(p, "config", "seed")
     p.add_argument("--rep", type=int, default=0, help="replication index")
     p.add_argument("--name", default="field.bin", help="dump file name")
-    p.set_defaults(func=_cmd_simulate)
+    p.set_defaults(func=_cmd_simulate,
+                   outputs=lambda a: [a.name, a.name + ".meta.json"])
 
     p = sub.add_parser("estimate", help="estimate from a stored field dump")
     _add_options(p, "config")
@@ -223,11 +241,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--covariance", action="store_true",
                    help="attach the asymptotic covariance evaluated at the "
                         "plug-in estimates")
-    p.set_defaults(func=_cmd_estimate)
+    p.set_defaults(func=_cmd_estimate, outputs=lambda a: ["estimate.json"])
 
     p = sub.add_parser("mc", help="Monte Carlo summary over replications")
     _add_options(p, "config", "seed", "replications", "threads")
-    p.set_defaults(func=_cmd_mc)
+    p.set_defaults(func=_cmd_mc, outputs=lambda a: [
+        "summary.csv", "summary.json", "records.json"])
 
     p = sub.add_parser("oracle", help="expected squared-increment table")
     _add_options(p, "config")
@@ -235,14 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=float, default=0.5)
     p.add_argument("--i", help="comma-separated increment indices "
                    "(default: all)")
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, outputs=lambda a: ["oracle.csv"])
 
     p = sub.add_parser("cross-section", help="slice a stored field dump")
     _add_options(p)
     p.add_argument("--field", required=True, help="path to a field dump")
     p.add_argument("--axis", required=True, choices=["t", "y", "z"])
     p.add_argument("--level", required=True, type=float)
-    p.set_defaults(func=_cmd_cross_section)
+    p.set_defaults(func=_cmd_cross_section,
+                   outputs=lambda a: [_section_name(a)])
     return parser
 
 
@@ -250,10 +270,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_out_dir(args.out_dir)
+        _check_outputs(args)
         return args.func(args)
     except (ConfigError, GridMismatchError, ThinningError, MemoryBudgetError,
-            FileNotFoundError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,8 +27,7 @@ import threading
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .simulate import (FieldSample, Observation, SpaceTimeGrid,
-                       observe_slices)
+from .simulate import Observation, SpaceTimeGrid, observe_slices
 
 MAGIC = b"SPDE2DF\x00"
 VERSION = 1
@@ -42,11 +41,15 @@ def _meta_path(path: str) -> str:
     return path + ".meta.json"
 
 
-def write_field(field: FieldSample, path: str) -> None:
-    """Write ``field`` to a dump at ``path`` and its provenance to the
+def write_field(field: Observation, path: str) -> None:
+    """Write ``field``, the record of every time slice (any other raises
+    ``GridMismatchError``), to a dump at ``path`` and its provenance to the
     sidecar.  Both are written to temporary files beside them first, which
     then replace them: a write that fails or is interrupted before that
     leaves a previous dump and its sidecar as they were."""
+    if not field.is_field:
+        raise GridMismatchError(f"slices {field.slices.shape} are not the "
+                                f"whole field on {field.grid}")
     header = np.array([VERSION, field.grid.N, field.grid.M1, field.grid.M2],
                       dtype="<u4")
     # one name per process and thread, so concurrent writers never share one
@@ -56,7 +59,7 @@ def write_field(field: FieldSample, path: str) -> None:
         with open(dump, "wb") as fh:
             fh.write(MAGIC)
             fh.write(header.tobytes())
-            np.ascontiguousarray(field.values, dtype="<f8").tofile(fh)
+            np.ascontiguousarray(field.slices, dtype="<f8").tofile(fh)
         with open(meta, "w") as fh:
             json.dump(field.provenance, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -119,17 +122,18 @@ def read_grid(path: str) -> SpaceTimeGrid:
 
 
 def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
-               record=None) -> FieldSample | Observation:
-    """The dump at ``path`` with its sidecar's provenance (``{}`` without
-    one); raises ``ConfigError`` for anything but a well-formed dump and a
-    sidecar of valid JSON, and ``FileNotFoundError`` for no file.
+               record=None) -> Observation:
+    """The record of the dump at ``path`` with its sidecar's provenance
+    (``{}`` without one); raises ``ConfigError`` for anything but a
+    well-formed dump and a sidecar of valid JSON, and ``FileNotFoundError``
+    for no file.
 
     With ``grid``, a dump on another grid raises ``GridMismatchError``
     before any value is read.  With ``record=(index_y, index_z, coarse)``
-    it returns the dump's ``Observation`` at those indices, equal to
+    it returns the record at those indices, equal to
     ``observe_sample(read_field(path), *record)``, and never holds the
     field: the values are read in blocks of ``BLOCK_BYTES``.  Without it,
-    the field is the slices of the record ``([], [], range(N+1))``.
+    it returns the field, the record ``([], [], range(N+1))``.
     """
     with _open(path) as fh:
         found = _header(fh, path)
@@ -137,13 +141,10 @@ def read_field(path: str, *, grid: SpaceTimeGrid | None = None,
             raise GridMismatchError(
                 f"field grid ({found.N}, {found.M1}, {found.M2}) does not "
                 f"match the expected grid ({grid.N}, {grid.M1}, {grid.M2})")
-        whole = record is None
-        obs = observe_slices(
-            found, _blocks(fh, path, found),
-            *(([], [], range(found.N + 1)) if whole else record),
-            provenance=_provenance(path))
-    return (FieldSample(values=obs.slices, grid=found,
-                        provenance=obs.provenance) if whole else obs)
+        if record is None:
+            record = [], [], range(found.N + 1)
+        return observe_slices(found, _blocks(fh, path, found), *record,
+                              provenance=_provenance(path))
 
 
 def _provenance(path: str) -> dict:

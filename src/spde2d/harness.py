@@ -31,9 +31,8 @@ from .plugins import (PluginEstimates, q1_plugin, q2_known_plugin,
                       q2_unknown_plugin)
 from .reconstruct import approx_coordinate, build_time_thinning, realized_qv
 # simulate_field is not called here; perfbench's tracer swaps this name
-from .simulate import (FieldSample, Observation, RngSeed, SpaceTimeGrid,
-                       TruncationSpec, observe_sample, simulate_field,
-                       simulate_observation)
+from .simulate import (Observation, RngSeed, SpaceTimeGrid, TruncationSpec,
+                       observe_sample, simulate_field, simulate_observation)
 
 
 @dataclass(frozen=True)
@@ -194,11 +193,11 @@ class ReplicationRecord:
         return d
 
 
-def estimate_field(config: ExperimentConfig,
-                   observed: FieldSample | Observation,
+def estimate_field(config: ExperimentConfig, observed: Observation,
                    rep_index: int = 0) -> ReplicationRecord:
-    """Run the estimation pipeline on a stored field or on its observation
-    record; both give the same record, bit for bit."""
+    """Run the estimation pipeline on a record: a field (every time slice)
+    through ``observe_sample``'s record of the thinning, any other record
+    as it is.  A field and its thinned record give the same result."""
     grid = observed.grid
     if (grid.N, grid.M1, grid.M2) != (config.grid.N, config.grid.M1,
                                       config.grid.M2):
@@ -206,8 +205,8 @@ def estimate_field(config: ExperimentConfig,
             f"field grid ({grid.N}, {grid.M1}, {grid.M2}) does not match "
             f"config grid ({config.grid.N}, {config.grid.M1}, {config.grid.M2})")
     thin, tt = thinnings(config)
-    obs = (observed if isinstance(observed, Observation) else
-           observe_sample(observed, thin.index_y, thin.index_z, tt.indices))
+    obs = (observe_sample(observed, thin.index_y, thin.index_z, tt.indices)
+           if observed.is_field else observed)
     zfield = squared_increment_field(obs, thin, config.params.alpha)
     degenerate = bool(np.all(zfield.values == 0.0))
     fit = minimize_contrast(zfield, thin, config.params.alpha, config.contrast)
@@ -407,7 +406,7 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
 
 @dataclass(frozen=True)
 class CrossSection:
-    """2-D slice of a field sample at a fixed coordinate, plot-ready."""
+    """2-D slice of a field at a fixed coordinate, plot-ready."""
 
     axis: str
     level: float
@@ -468,8 +467,9 @@ def cross_section(obs: Observation, axis: str, level: float
                         values=obs.points[:, :, 0])
 
 
-def cross_section_dump(field_sample: FieldSample, axis: str,
+def cross_section_dump(field: Observation, axis: str,
                        level: float) -> CrossSection:
-    """Slice the field at an exact grid node of the chosen axis."""
-    record = section_record(field_sample.grid, axis, level)
-    return cross_section(observe_sample(field_sample, *record), axis, level)
+    """Slice the field (the record of every time slice) at an exact grid
+    node of the chosen axis."""
+    record = section_record(field.grid, axis, level)
+    return cross_section(observe_sample(field, *record), axis, level)

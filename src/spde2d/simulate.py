@@ -116,31 +116,16 @@ class RngSeed:
 
 
 @dataclass(frozen=True)
-class FieldSample:
-    """Observed field on the full lattice, shape (N+1, M1+1, M2+1)."""
-
-    values: np.ndarray
-    grid: SpaceTimeGrid
-    provenance: dict
-
-    def __post_init__(self):
-        expected = (self.grid.N + 1, self.grid.M1 + 1, self.grid.M2 + 1)
-        if self.values.shape != expected:
-            raise GridMismatchError(
-                f"field shape {self.values.shape} does not match grid {expected}")
-
-
-@dataclass(frozen=True)
 class Observation:
-    """What estimation reads of a field.
+    """What is read of a field: its observation record.
 
     ``points`` holds the values at the thinned points ``index_y x index_z``
     at every time, shape ``(N+1, m1, m2)``; ``slices`` the full lattice at
     the coarse time indices ``coarse``, shape ``(n+1, M1+1, M2+1)``.  Built
     from a field's slices by ``observe_slices`` (``observe_sample`` for a
     field in memory, ``fieldio.read_field`` for a dump), or by
-    ``simulate_observation`` without them.  The record ``([], [],
-    range(N+1))`` holds the whole field in ``slices``.
+    ``simulate_observation`` without them.  A field is the record ``([],
+    [], range(N+1))``: no points, and every time slice in ``slices``.
     """
 
     points: np.ndarray
@@ -150,6 +135,12 @@ class Observation:
     index_z: np.ndarray
     coarse: np.ndarray
     provenance: dict = field(default_factory=dict)
+
+    @property
+    def is_field(self) -> bool:
+        """Whether the record holds every time slice: the whole field."""
+        grid = self.grid
+        return self.slices.shape == (grid.N + 1, grid.M1 + 1, grid.M2 + 1)
 
 
 def _stream_words(trunc: TruncationSpec):
@@ -291,13 +282,11 @@ def simulate_coordinate_paths(params: ModelParams, kind: NoiseKind,
 
 def simulate_field(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
                    trunc: TruncationSpec, init: InitialCondition = ZERO_INITIAL,
-                   seed: RngSeed = RngSeed(0), *, rep: int = 0) -> FieldSample:
-    """Simulate the field on the full lattice: the slices of its observation
-    record with no points and every time coarse."""
-    obs = simulate_observation(params, kind, grid, trunc, [], [],
-                               range(grid.N + 1), init, seed, rep=rep)
-    return FieldSample(values=obs.slices, grid=grid,
-                       provenance=obs.provenance)
+                   seed: RngSeed = RngSeed(0), *, rep: int = 0) -> Observation:
+    """Simulate the field on the full lattice: its observation record with
+    no points and every time coarse, whose ``slices`` are the field."""
+    return simulate_observation(params, kind, grid, trunc, [], [],
+                                range(grid.N + 1), init, seed, rep=rep)
 
 
 def observe_slices(grid: SpaceTimeGrid, blocks, index_y, index_z, coarse,
@@ -310,29 +299,36 @@ def observe_slices(grid: SpaceTimeGrid, blocks, index_y, index_z, coarse,
 
     The indices are checked before the first block is drawn, and each
     block is copied from before the next one is, so ``blocks`` may reuse
-    one buffer.
+    one buffer.  Blocks that are not N+1 slices of the lattice in all raise
+    ``GridMismatchError``.
     """
     index_y, index_z, coarse = _observed_indices(grid, index_y, index_z,
                                                  coarse)
     points = np.empty((grid.N + 1, len(index_y), len(index_z)))
     slices = np.empty((len(coarse), grid.M1 + 1, grid.M2 + 1))
+    misfit = GridMismatchError(f"the blocks are not {grid.N + 1} slices of "
+                               f"shape {slices.shape[1:]}")
     first = 0
     for rows in blocks:
         end = first + len(rows)
+        if end > grid.N + 1 or rows.shape[1:] != slices.shape[1:]:
+            raise misfit
         points[first:end] = rows[:, index_y[:, None], index_z]
         lo, hi = np.searchsorted(coarse, [first, end])
         slices[lo:hi] = rows[coarse[lo:hi] - first]
         first = end
+    if first != grid.N + 1:
+        raise misfit
     return Observation(points=points, slices=slices, grid=grid,
                        index_y=index_y, index_z=index_z, coarse=coarse,
                        provenance=provenance)
 
 
-def observe_sample(field: FieldSample, index_y, index_z,
+def observe_sample(field: Observation, index_y, index_z,
                    coarse) -> Observation:
-    """The observation record of a field in memory: ``observe_slices`` on
-    all its slices as one block."""
-    return observe_slices(field.grid, [field.values], index_y, index_z,
+    """The observation record of a field in memory, the record of every time
+    slice: ``observe_slices`` on all its slices as one block."""
+    return observe_slices(field.grid, [field.slices], index_y, index_z,
                           coarse, field.provenance)
 
 
@@ -352,7 +348,7 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
     the points alone, ``(eyT[index_y] @ x @ ez)[:, index_z]``, at m1 (K +
     M2+1) L multiply-adds instead of the (M1+1) (K + M2+1) L of a slice; at
     a coarse step it projects onto the whole lattice, ``eyT @ x @ ez``, and
-    takes the points from that slice.
+    the coarse points are taken from those slices after the sweep.
 
     The restricted product equals the slice at the points only as far as
     the BLAS computes each element of a product alike whatever the other
@@ -383,9 +379,9 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
             points[i] = (eyT_points @ x @ ez)[:, index_z]
         else:
             slices[c] = eyT @ x @ ez
-            points[i] = slices[c][index_y[:, None], index_z]
 
     _sweep(params, kind, grid, trunc, init, seed, range(rep, rep + 1), visit)
+    points[coarse] = slices[:, index_y[:, None], index_z]
     return Observation(points=points, slices=slices, grid=grid,
                        index_y=index_y, index_z=index_z, coarse=coarse,
                        provenance=_provenance(params, kind, trunc, seed, rep))

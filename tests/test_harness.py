@@ -19,8 +19,9 @@ from spde2d.harness import (ExperimentConfig, cross_section_dump,
                             load_config, run_monte_carlo, run_replication,
                             section_record)
 from spde2d.model import NoiseKind
-from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, observe_sample, simulate_field)
+from spde2d.simulate import (Observation, RngSeed, SpaceTimeGrid,
+                             TruncationSpec, observe_sample, observe_slices,
+                             simulate_field)
 
 SMALL = {
     "params": {"theta0": 0.0, "theta1": 0.2, "eta1": 0.2, "theta2": 0.2,
@@ -32,6 +33,11 @@ SMALL = {
     "replications": 3,
     "seed": 2024,
 }
+
+
+def _field(values, grid):
+    """The field ``values`` on ``grid``: the record of every time slice."""
+    return observe_slices(grid, [values], [], [], range(grid.N + 1), {})
 
 
 @pytest.fixture
@@ -329,7 +335,7 @@ class TestCrossSection:
         section = cross_section_dump(field, "t", 0.5)
         assert section.names == ("y", "z")
         assert section.values.shape == (11, 11)
-        assert np.array_equal(section.values, field.values[5])
+        assert np.array_equal(section.values, field.slices[5])
 
     def test_boundary_slice_is_zero(self, field):
         section = cross_section_dump(field, "y", 0.0)
@@ -337,8 +343,7 @@ class TestCrossSection:
 
     def test_zero_field_slices_zero(self, reference_params):
         grid = SpaceTimeGrid(N=4, M1=4, M2=4)
-        field = FieldSample(values=np.zeros((5, 5, 5)), grid=grid,
-                            provenance={})
+        field = _field(np.zeros((5, 5, 5)), grid)
         assert np.all(cross_section_dump(field, "z", 0.5).values == 0.0)
 
     def test_off_grid_level_rejected(self, field):
@@ -354,7 +359,7 @@ class TestCrossSection:
         assert len(lines) == 1 + 11 * 11
         cells = [[float(c) for c in line.split(",")] for line in lines[1:]]
         assert all(len(row) == 3 for row in cells)
-        assert cells[12] == [0.1, 0.1, float(field.values[1, 1, 1])]
+        assert cells[12] == [0.1, 0.1, float(field.slices[1, 1, 1])]
 
 
 # The two read modes of ``read_field``: the whole field, and the record at
@@ -372,9 +377,34 @@ class TestFieldIo:
         path = str(tmp_path / "f.bin")
         fieldio.write_field(field, path)
         back = fieldio.read_field(path)
-        assert np.array_equal(back.values, field.values)
+        assert np.array_equal(back.slices, field.slices)
         assert back.grid == field.grid
         assert back.provenance == field.provenance
+
+    def test_both_read_modes_return_an_observation(self, reference_params,
+                                                   tmp_path):
+        grid = SpaceTimeGrid(N=4, M1=5, M2=6)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                               TruncationSpec(K=3, L=3), seed=RngSeed(9))
+        path = str(tmp_path / "f.bin")
+        fieldio.write_field(field, path)
+        whole, record = (read(path) for read in READS)
+        assert isinstance(whole, Observation)
+        assert isinstance(record, Observation)
+        assert whole.is_field and not record.is_field
+        assert whole.points.shape == (5, 0, 0)
+        assert np.array_equal(whole.coarse, range(5))
+        assert np.array_equal(record.slices, field.slices[[0, 2]])
+
+    def test_write_refuses_a_record_that_is_not_the_field(
+            self, reference_params, tmp_path):
+        grid = SpaceTimeGrid(N=3, M1=3, M2=3)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid,
+                               TruncationSpec(K=2, L=2), seed=RngSeed(9))
+        part = observe_sample(field, [1], [1], [0, 2])
+        with pytest.raises(GridMismatchError, match="not the whole field"):
+            fieldio.write_field(part, str(tmp_path / "f.bin"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_write_leaves_the_previous_dump_and_sidecar(
             self, reference_params, tmp_path, monkeypatch):
@@ -395,7 +425,7 @@ class TestFieldIo:
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
         monkeypatch.undo()
         back = fieldio.read_field(str(path))
-        assert np.array_equal(back.values, old.values)
+        assert np.array_equal(back.slices, old.slices)
         assert back.provenance == old.provenance != new.provenance
 
     # cut < 0 drops bytes from the end, cut > 0 appends zero bytes; the
@@ -451,7 +481,7 @@ class TestFieldIo:
         got = fieldio.read_field(path, grid=grid, record=where)
         assert np.array_equal(got.points, want.points)
         assert np.array_equal(got.slices, want.slices)
-        assert np.array_equal(got.slices, field.values[where[2]])
+        assert np.array_equal(got.slices, field.slices[where[2]])
         for name in ("index_y", "index_z", "coarse"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert got.grid == want.grid == grid
@@ -463,8 +493,7 @@ class TestFieldIo:
         # values shows that the field is never allocated
         grid = SpaceTimeGrid(N=1000, M1=30, M2=30)
         path = str(tmp_path / "f.bin")
-        fieldio.write_field(FieldSample(
-            values=np.zeros((1001, 31, 31)), grid=grid, provenance={}), path)
+        fieldio.write_field(_field(np.zeros((1001, 31, 31)), grid), path)
         value_bytes = 8 * 1001 * 31 * 31
         tracemalloc.start()
         try:
@@ -482,9 +511,8 @@ class TestFieldIo:
         # a section is one time slice (8 kB) or one y or z index at every
         # time (248 kB) of a 7.7 MB dump, read through a buffer of 1 MiB
         grid = SpaceTimeGrid(N=1000, M1=30, M2=30)
-        field = FieldSample(
-            values=np.random.default_rng(3).standard_normal((1001, 31, 31)),
-            grid=grid, provenance={})
+        field = _field(
+            np.random.default_rng(3).standard_normal((1001, 31, 31)), grid)
         path = str(tmp_path / "f.bin")
         fieldio.write_field(field, path)
         level = float({"t": grid.times(), "y": grid.ys(),
@@ -496,7 +524,7 @@ class TestFieldIo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < field.values.nbytes / 4
+        assert peak < field.slices.nbytes / 4
         # and the command's CSV is the in-memory field's section
         assert cli_main(["cross-section", "--field", path, "--axis", axis,
                          "--level", repr(level), "--out-dir",
@@ -512,9 +540,9 @@ class TestFieldIo:
         # read buffer and the 408 kB section
         grid = SpaceTimeGrid(N=1000, M1=50, M2=50)
         path = str(tmp_path / "f.bin")
-        fieldio.write_field(FieldSample(
-            values=np.random.default_rng(3).standard_normal((1001, 51, 51)),
-            grid=grid, provenance={}), path)
+        fieldio.write_field(_field(
+            np.random.default_rng(3).standard_normal((1001, 51, 51)), grid),
+            path)
         tracemalloc.start()
         try:
             assert cli_main(["cross-section", "--field", path, "--axis", "y",
@@ -836,6 +864,61 @@ class TestCli:
                          "--out-dir", out]) == 1
         assert capsys.readouterr().err == (
             f"error: --out-dir {out}: {blocker} is not a directory\n")
+
+    # each command with one of its output files made a directory, or (for
+    # simulate) a --name that names a directory or runs through a file
+    @pytest.mark.parametrize("command, name", [
+        (["simulate", "--name", "d"], "d"),
+        (["simulate", "--name", ""], ""),
+        (["simulate"], "field.bin.meta.json"),
+        (["simulate", "--name", "file/x.bin"], "file/x.bin"),
+        (["estimate", "--field", "f.bin"], "estimate.json"),
+        (["mc"], "summary.csv"),
+        (["mc"], "records.json"),
+        (["oracle"], "oracle.csv"),
+        (["cross-section", "--field", "f.bin", "--axis", "t", "--level",
+          "0.5"], "cross_section_t_0.5.csv")],
+        ids=["simulate_name", "simulate_empty_name", "simulate_sidecar",
+             "simulate_through_file", "estimate", "mc_summary", "mc_records",
+             "oracle", "cross_section"])
+    def test_output_that_cannot_be_written_exits_before_the_work(
+            self, tmp_path, capsys, monkeypatch, command, name):
+        # refused up front, not by a traceback once the work is done
+        def work(*args, **kwargs):
+            raise AssertionError(f"{command[0]} ran with an unusable output")
+
+        for target in ("spde2d.cli.simulate_field",
+                       "spde2d.cli.run_monte_carlo",
+                       "spde2d.cli.expected_squared_increment_oracle",
+                       "spde2d.fieldio.read_field", "spde2d.fieldio.read_grid"):
+            monkeypatch.setattr(target, work)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "file").write_text("")
+        if "file" not in name:
+            (out / name).mkdir(exist_ok=True)
+        config = ([] if command[0] == "cross-section"
+                  else ["--config", self._write_config(tmp_path)])
+        assert cli_main([*command, *config, "--out-dir", str(out)]) == 1
+        path = os.path.join(out, name)
+        assert capsys.readouterr().err == (
+            f"error: {path}: {out / 'file'} is not a directory\n"
+            if "file" in name else
+            f"error: {path} is a directory, not an output file\n")
+
+    @pytest.mark.parametrize("command", [["mc", "--config"],
+                                         ["estimate", "--field"]])
+    def test_input_path_through_a_file_exits_nonzero(self, tmp_path, capsys,
+                                                     command):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = [*command, str(blocker / "x")]
+        if command[0] == "estimate":
+            argv += ["--config", self._write_config(tmp_path)]
+        assert cli_main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Not a directory" in err
+        assert not os.path.exists(tmp_path / "out")
 
 
 class TestPhiloxPaths:

@@ -11,14 +11,14 @@ from spde2d.increments import (asymptotic_mean, build_space_thinning,
                                expected_squared_increment_total,
                                squared_increment_field)
 from spde2d.model import ModelParams, NoiseKind
-from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, observe_sample, simulate_field)
+from spde2d.simulate import (RngSeed, SpaceTimeGrid, TruncationSpec,
+                             observe_sample, observe_slices, simulate_field)
 
 SEED = RngSeed(271828)
 
 
 def _const_field(values, grid):
-    return FieldSample(values=values, grid=grid, provenance={})
+    return observe_slices(grid, [values], [], [], range(grid.N + 1), {})
 
 
 def _observed(field, thin):

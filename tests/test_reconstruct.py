@@ -10,11 +10,16 @@ from spde2d.errors import ConfigError, GridMismatchError
 from spde2d.model import Mode, NoiseKind, eigenvalue
 from spde2d.reconstruct import (ApproxCoordinatePath, approx_coordinate,
                                 build_time_thinning, realized_qv)
-from spde2d.simulate import (FieldSample, RngSeed, SpaceTimeGrid,
-                             TruncationSpec, observe_sample,
+from spde2d.simulate import (RngSeed, SpaceTimeGrid, TruncationSpec,
+                             observe_sample, observe_slices,
                              simulate_coordinate_paths, simulate_field)
 
 SEED = RngSeed(555)
+
+
+def _field(values, grid):
+    """The field ``values`` on ``grid``: the record of every time slice."""
+    return observe_slices(grid, [values], [], [], range(grid.N + 1), {})
 
 
 def _observed(field, tt):
@@ -52,8 +57,7 @@ class TestTimeThinning:
 class TestApproxCoordinate:
     def test_zero_field_gives_zero_path(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=8, M2=8)
-        field = FieldSample(values=np.zeros((11, 9, 9)), grid=grid,
-                            provenance={})
+        field = _field(np.zeros((11, 9, 9)), grid)
         tt = build_time_thinning(10, 5)
         path = _reconstruct(field, Mode(1, 1), 1.0, 1.0, tt)
         assert np.all(path.values == 0.0)
@@ -121,9 +125,9 @@ class TestApproxCoordinate:
         a = rng.normal(size=(7, 11, 11))
         b = rng.normal(size=(7, 11, 11))
         tt = build_time_thinning(6, 3)
-        fa = FieldSample(values=a, grid=grid, provenance={})
-        fb = FieldSample(values=b, grid=grid, provenance={})
-        fab = FieldSample(values=a + 2.0 * b, grid=grid, provenance={})
+        fa = _field(a, grid)
+        fb = _field(b, grid)
+        fab = _field(a + 2.0 * b, grid)
         pa = _reconstruct(fa, Mode(1, 2), 0.3, 0.7, tt).values
         pb = _reconstruct(fb, Mode(1, 2), 0.3, 0.7, tt).values
         pab = _reconstruct(fab, Mode(1, 2), 0.3, 0.7, tt).values
@@ -131,8 +135,7 @@ class TestApproxCoordinate:
 
     def test_grid_mismatch_rejected(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=4, M2=4)
-        field = FieldSample(values=np.zeros((11, 5, 5)), grid=grid,
-                            provenance={})
+        field = _field(np.zeros((11, 5, 5)), grid)
         obs = _observed(field, build_time_thinning(10, 5))
         tt = build_time_thinning(20, 5)
         with pytest.raises(GridMismatchError):
@@ -140,8 +143,7 @@ class TestApproxCoordinate:
 
     def test_slices_of_other_times_rejected(self):
         grid = SpaceTimeGrid(N=10, M1=4, M2=4)
-        field = FieldSample(values=np.zeros((11, 5, 5)), grid=grid,
-                            provenance={})
+        field = _field(np.zeros((11, 5, 5)), grid)
         obs = _observed(field, build_time_thinning(10, 5))
         with pytest.raises(GridMismatchError, match="other times"):
             approx_coordinate(obs, Mode(1, 1), 0.0, 0.0,

@@ -15,11 +15,10 @@ from spde2d.errors import ConfigError, GridMismatchError, MemoryBudgetError
 from spde2d.model import (Mode, ModelParams, NoiseKind, eigenvalue,
                           factor_table)
 from spde2d.harness import ExperimentConfig, thinnings
-from spde2d.simulate import (FieldSample, InitialCondition, RngSeed,
-                             SpaceTimeGrid, TruncationSpec,
-                             observe_sample, simulate_coordinate_paths,
-                             simulate_field, simulate_observation,
-                             simulate_point_values)
+from spde2d.simulate import (InitialCondition, RngSeed, SpaceTimeGrid,
+                             TruncationSpec, observe_sample, observe_slices,
+                             simulate_coordinate_paths, simulate_field,
+                             simulate_observation, simulate_point_values)
 
 SEED = RngSeed(314159)
 
@@ -225,7 +224,7 @@ class TestFieldSynthesis:
         etab = eigenfunction(Mode(1, 1), ys[:, None], zs[None, :],
                              reference_params)
         for i in range(grid.N + 1):
-            assert np.allclose(field.values[i], paths[0, 0, i] * etab,
+            assert np.allclose(field.slices[i], paths[0, 0, i] * etab,
                                rtol=1e-13, atol=1e-16)
 
     def test_streaming_equals_paths_bitwise(self, reference_params):
@@ -243,17 +242,17 @@ class TestFieldSynthesis:
                               for i in range(grid.N + 1)])
         streamed = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
                                   seed=SEED)
-        assert np.array_equal(via_paths, streamed.values)
+        assert np.array_equal(via_paths, streamed.slices)
 
     def test_boundary_exactly_zero(self, reference_params):
         field = simulate_field(reference_params, NoiseKind.Q1,
                                SpaceTimeGrid(N=5, M1=6, M2=6),
                                TruncationSpec(K=8, L=8), seed=SEED)
-        assert np.all(field.values[:, 0, :] == 0.0)
-        assert np.all(field.values[:, -1, :] == 0.0)
-        assert np.all(field.values[:, :, 0] == 0.0)
-        assert np.all(field.values[:, :, -1] == 0.0)
-        assert np.all(np.isfinite(field.values))
+        assert np.all(field.slices[:, 0, :] == 0.0)
+        assert np.all(field.slices[:, -1, :] == 0.0)
+        assert np.all(field.slices[:, :, 0] == 0.0)
+        assert np.all(field.slices[:, :, -1] == 0.0)
+        assert np.all(np.isfinite(field.slices))
 
     def test_sigma_doubling_doubles_field_exactly(self, reference_params):
         grid = SpaceTimeGrid(N=6, M1=5, M2=5)
@@ -263,7 +262,7 @@ class TestFieldSynthesis:
         doubled_params = ModelParams(0.0, 0.2, 0.2, 0.2, 2.0, 0.5)
         doubled = simulate_field(doubled_params, NoiseKind.Q1, grid, trunc,
                                  seed=SEED)
-        assert np.array_equal(doubled.values, 2.0 * base.values)
+        assert np.array_equal(doubled.slices, 2.0 * base.slices)
 
     def test_determinism_across_runs(self, reference_params):
         grid = SpaceTimeGrid(N=4, M1=4, M2=4)
@@ -272,10 +271,10 @@ class TestFieldSynthesis:
                            rep=5)
         b = simulate_field(reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
                            rep=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a.slices, b.slices)
         c = simulate_field(reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
                            rep=6)
-        assert not np.array_equal(a.values, c.values)
+        assert not np.array_equal(a.slices, c.slices)
 
     def test_point_values_match_field(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=4, M2=4)
@@ -285,7 +284,7 @@ class TestFieldSynthesis:
         for r in range(3):
             f = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
                                seed=SEED, rep=r)
-            assert np.allclose(pv[r, :, 0], f.values[:, 1, 2], rtol=1e-11,
+            assert np.allclose(pv[r, :, 0], f.slices[:, 1, 2], rtol=1e-11,
                                atol=1e-14)
 
     # the oracles' rule: finite and in [0, 1], endpoints accepted
@@ -310,11 +309,6 @@ class TestFieldSynthesis:
         # the eigenfunctions vanish on the boundary, up to rounding of pi
         assert np.all(np.abs(pv) < 1e-12)
 
-    def test_field_sample_validates_shape(self, reference_params):
-        grid = SpaceTimeGrid(N=3, M1=3, M2=3)
-        with pytest.raises(GridMismatchError):
-            FieldSample(values=np.zeros((2, 2, 2)), grid=grid, provenance={})
-
 
 class TestTiledSweep:
     """``kernels.ou_sweep``'s tiles, chunks and threads leave no trace in
@@ -328,12 +322,12 @@ class TestTiledSweep:
         # 9,216 streams: two chunks of the default size, three tiles of
         # 28 steps for N = 61 (28, 28 and 5 steps)
         return simulate_field(self.P, NoiseKind.Q1, SpaceTimeGrid(61, 6, 5),
-                              TruncationSpec(96, 96), seed=SEED, rep=2).values
+                              TruncationSpec(96, 96), seed=SEED, rep=2).slices
 
     def _field_short(self):
         # 35 streams: one chunk, and N = 23 is shorter than one tile
         return simulate_field(self.P, NoiseKind.Q1, SpaceTimeGrid(23, 6, 5),
-                              TruncationSpec(5, 7), seed=SEED).values
+                              TruncationSpec(5, 7), seed=SEED).slices
 
     def _paths(self):
         # 3 x 2,800 streams from a nonzero start: two chunks, two tiles
@@ -526,8 +520,8 @@ class TestObservation:
         ([1.0], [1], [0]), ([[1]], [1], [0])])
     def test_bad_indices_rejected(self, reference_params, where):
         grid = SpaceTimeGrid(N=9, M1=6, M2=4)
-        field = FieldSample(values=np.zeros((10, 7, 5)), grid=grid,
-                            provenance={})
+        field = observe_slices(grid, [np.zeros((10, 7, 5))], [], [],
+                               range(grid.N + 1), {})
         with pytest.raises(ConfigError, match="must"):
             observe_sample(field, *where)
         with pytest.raises(ConfigError, match="must"):
@@ -556,6 +550,37 @@ class TestObservation:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestObserveSlices:
+    """``observe_slices`` reads blocks that make the N+1 slices of the
+    lattice, and nothing else: blocks that come short of them once left
+    uninitialized memory in the record."""
+
+    GRID = SpaceTimeGrid(N=4, M1=2, M2=2)
+
+    @pytest.mark.parametrize("blocks", [
+        [np.ones((2, 3, 3))], [np.ones((3, 3, 3)), np.ones((3, 3, 3))],
+        [np.ones((5, 3, 4))], [np.ones((5, 2, 3))], []],
+        ids=["short", "long", "wide", "narrow", "none"])
+    def test_blocks_that_are_not_the_slices_rejected(self, blocks):
+        with pytest.raises(GridMismatchError, match="not 5 slices"):
+            observe_slices(self.GRID, blocks, [1], [1], [0, 4], {})
+
+    def test_record_without_every_slice_is_not_a_field(self):
+        part = observe_slices(self.GRID, [np.ones((5, 3, 3))], [1], [1],
+                              [0, 4], {})
+        assert not part.is_field
+        with pytest.raises(GridMismatchError):
+            observe_sample(part, [1], [1], [0])
+
+    def test_blocks_of_the_slices_accepted(self):
+        values = np.arange(45.0).reshape(5, 3, 3)
+        whole = observe_slices(self.GRID, [values[:2], values[2:]], [], [],
+                               range(5), {})
+        assert whole.is_field
+        assert np.array_equal(whole.slices, values)
+        assert whole.points.shape == (5, 0, 0)
 
 
 class TestGridValidation:
