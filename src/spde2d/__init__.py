@@ -21,9 +21,7 @@ from .model import (DerivedRatios, Mode, ModelParams, NoiseKind,
 from .plugins import (CovarianceMatrix, PluginEstimates, covariance_J,
                       covariance_K, covariance_L, q1_plugin, q2_known_plugin,
                       q2_unknown_plugin)
-from .reconstruct import (ApproxCoordinatePath, TimeThinning,
-                          VolatilityEstimate, approx_coordinate,
-                          build_time_thinning, realized_qv)
+from .reconstruct import approx_coordinate, build_time_thinning, realized_qv
 from .simulate import (InitialCondition, Observation, RngSeed, SpaceTimeGrid,
                        TruncationSpec, simulate_coordinate_paths,
                        simulate_field, simulate_point_values)

@@ -122,10 +122,10 @@ def _check_provenance(config: ExperimentConfig, provenance: dict) -> None:
 
 def _cmd_estimate(args) -> int:
     config = _load(args)
-    thin, tt = thinnings(config)
+    thin, coarse = thinnings(config)
     observed = fieldio.read_field(
         args.field, grid=config.grid,
-        record=(thin.index_y, thin.index_z, tt.indices))
+        record=(thin.index_y, thin.index_z, coarse))
     _check_provenance(config, observed.provenance)
     record = estimate_field(config, observed)
     payload = record.to_dict()

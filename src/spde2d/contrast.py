@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, check_count
 from .increments import SpaceThinning, SquaredIncrementField
 from .model import contrast_coefficient
 
@@ -45,8 +45,7 @@ class ContrastConfig:
             lo, hi = getattr(self, name)
             if not lo < hi:
                 raise ConfigError(f"{name} must be non-degenerate, got {(lo, hi)}")
-        if self.init_grid < 1:
-            raise ConfigError(f"init_grid must be >= 1, got {self.init_grid}")
+        check_count("init_grid", self.init_grid)
 
 
 @dataclass(frozen=True)
@@ -165,9 +164,14 @@ def minimize_contrast(zfield: SquaredIncrementField, thin: SpaceThinning,
     (kappa, eta) in lexicographic order.  ``converged`` requires a
     projected gradient norm of at most ``GRAD_TOL * (sum Z^2 + contrast)``,
     the size of its terms, and at least 3 interior points (with fewer the
-    three parameters are not identifiable).
+    three parameters are not identifiable).  A statistic that holds a
+    non-finite value is refused with ``ConfigError``.
     """
     _check_fields(zfield, thin)
+    if not np.all(np.isfinite(zfield.values)):
+        raise ConfigError("the squared-increment statistic holds a "
+                          "non-finite value: the record's points hold a "
+                          "non-finite or overflowing value")
     lo, hi = np.array([config.kappa_box, config.eta_box]).T
     zz = float(np.vdot(zfield.values, zfield.values))
     rounding = thin.m * np.finfo(np.float64).eps

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import kernels
 from .contrast import ContrastConfig, MinimumContrastFit, minimize_contrast
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, GridMismatchError, check_count
 from .increments import build_space_thinning, squared_increment_field
 from .model import DerivedRatios, Mode, ModelParams, NoiseKind
 from .plugins import (PluginEstimates, q1_plugin, q2_known_plugin,
@@ -197,25 +197,28 @@ def estimate_field(config: ExperimentConfig, observed: Observation,
                    rep_index: int = 0) -> ReplicationRecord:
     """Run the estimation pipeline on a record: a field (every time slice)
     through ``observe_sample``'s record of the thinning, any other record
-    as it is.  A field and its thinned record give the same result."""
+    as it is.  A field and its thinned record give the same result; a
+    record of other coarse times or points than the config's thinning is
+    refused with ``GridMismatchError``."""
     grid = observed.grid
     if (grid.N, grid.M1, grid.M2) != (config.grid.N, config.grid.M1,
                                       config.grid.M2):
         raise GridMismatchError(
             f"field grid ({grid.N}, {grid.M1}, {grid.M2}) does not match "
             f"config grid ({config.grid.N}, {config.grid.M1}, {config.grid.M2})")
-    thin, tt = thinnings(config)
-    obs = (observe_sample(observed, thin.index_y, thin.index_z, tt.indices)
+    thin, coarse = thinnings(config)
+    if not (observed.is_field or np.array_equal(observed.coarse, coarse)):
+        raise GridMismatchError("the record holds slices at other times than "
+                                "the time thinning's")
+    obs = (observe_sample(observed, thin.index_y, thin.index_z, coarse)
            if observed.is_field else observed)
     zfield = squared_increment_field(obs, thin, config.params.alpha)
     degenerate = bool(np.all(zfield.values == 0.0))
     fit = minimize_contrast(zfield, thin, config.params.alpha, config.contrast)
-    path11 = approx_coordinate(obs, Mode(1, 1), fit.kappa_hat, fit.eta_hat,
-                               tt)
-    path12 = approx_coordinate(obs, Mode(1, 2), fit.kappa_hat, fit.eta_hat,
-                               tt)
-    qv11 = realized_qv(path11).value
-    qv12 = realized_qv(path12).value
+    qv11 = realized_qv(approx_coordinate(obs, Mode(1, 1), fit.kappa_hat,
+                                         fit.eta_hat))
+    qv12 = realized_qv(approx_coordinate(obs, Mode(1, 2), fit.kappa_hat,
+                                         fit.eta_hat))
     alpha = config.params.alpha
     if config.kind is NoiseKind.Q1:
         est = q1_plugin(fit.scale, fit.kappa_hat, fit.eta_hat, qv11, qv12,
@@ -232,7 +235,8 @@ def estimate_field(config: ExperimentConfig, observed: Observation,
 
 
 def thinnings(config: ExperimentConfig):
-    """The space and time thinnings that estimation reads."""
+    """``(SpaceThinning, coarse)``: the interior space thinning and the
+    coarse time indices (``build_time_thinning``) that estimation reads."""
     c = config.thinning
     return (build_space_thinning(config.grid.M1, config.grid.M2, c.mbar1,
                                  c.mbar2, c.delta),
@@ -244,10 +248,10 @@ def run_replication(config: ExperimentConfig, rep_index: int
     """Simulate and estimate one replication; deterministic in
     (seed, rep_index).  Only the observation record is simulated, not the
     field: the record equals that of ``simulate_field``'s field."""
-    thin, tt = thinnings(config)
+    thin, coarse = thinnings(config)
     obs = simulate_observation(config.params, config.kind, config.grid,
                                config.trunc, thin.index_y, thin.index_z,
-                               tt.indices, seed=config.seed, rep=rep_index)
+                               coarse, seed=config.seed, rep=rep_index)
     return estimate_field(config, obs, rep_index)
 
 
@@ -389,8 +393,7 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
     No more workers start than there are replications.  The caller's
     kernel threads are joined before the workers fork.
     """
-    if not (isinstance(threads, int) and threads >= 1):
-        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    check_count("threads", threads)
     indices = list(range(config.replications))
     workers = min(threads, len(indices))
     if workers == 1:

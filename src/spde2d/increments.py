@@ -30,17 +30,13 @@ class SpaceThinning:
     """Coarse interior sub-grid used by the contrast stage.
 
     The coarse lattice steps by ``floor(M/mbar)`` fine cells; the retained
-    points are the consecutive coarse points inside ``[delta, 1-delta]``.
-    All retained points are exact nodes of the fine lattice.
+    points are the ``m1 x m2`` consecutive coarse points inside ``[delta,
+    1-delta]``, at the fine-lattice indices ``index_y x index_z`` of the
+    ``M1 x M2`` lattice and the coordinates ``points_y x points_z``.
     """
 
     M1: int
     M2: int
-    mbar1: int
-    mbar2: int
-    delta: float
-    J1: int
-    J2: int
     m1: int
     m2: int
     index_y: np.ndarray
@@ -64,7 +60,7 @@ def _thin_axis(M: int, mbar: int, delta: float):
     J = int(inside[0]) - 1
     m = int(inside.size)
     idx = step * (J + 1 + np.arange(m))
-    return J, m, idx.astype(np.int64), coarse[inside]
+    return m, idx.astype(np.int64), coarse[inside]
 
 
 def build_space_thinning(M1: int, M2: int, mbar1: int, mbar2: int,
@@ -77,10 +73,9 @@ def build_space_thinning(M1: int, M2: int, mbar1: int, mbar2: int,
             f"mbar1={mbar1}, M1={M1}, mbar2={mbar2}, M2={M2}")
     if not (0.0 < delta < 0.5):
         raise ConfigError(f"delta must lie in (0, 1/2), got {delta}")
-    J1, m1, idx_y, pts_y = _thin_axis(M1, mbar1, delta)
-    J2, m2, idx_z, pts_z = _thin_axis(M2, mbar2, delta)
-    return SpaceThinning(M1=M1, M2=M2, mbar1=mbar1, mbar2=mbar2, delta=delta,
-                         J1=J1, J2=J2, m1=m1, m2=m2,
+    m1, idx_y, pts_y = _thin_axis(M1, mbar1, delta)
+    m2, idx_z, pts_z = _thin_axis(M2, mbar2, delta)
+    return SpaceThinning(M1=M1, M2=M2, m1=m1, m2=m2,
                          index_y=idx_y, index_z=idx_z,
                          points_y=pts_y, points_z=pts_z)
 

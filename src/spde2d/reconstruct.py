@@ -10,84 +10,48 @@ then estimated by the sum of squared increments over the coarse times.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, GridMismatchError
+from .errors import ConfigError, check_count
 from .model import Mode, factor_table
 from .simulate import Observation
 
 
-@dataclass(frozen=True)
-class TimeThinning:
-    """Coarse time grid t_i = floor(N/n) * i / N for i = 0..n."""
-
-    N: int
-    n: int
-    step: int
-    points: np.ndarray
-    indices: np.ndarray
-
-
-def build_time_thinning(N: int, n: int) -> TimeThinning:
-    if not (1 <= n <= N):
+def build_time_thinning(N: int, n: int) -> np.ndarray:
+    """Indices ``floor(N/n) * i`` for i = 0..n of the coarse times
+    ``t_i = floor(N/n) * i / N``, as int64."""
+    check_count("n", n)
+    if n > N:
         raise ConfigError(f"time thinning requires 1 <= n <= N, got n={n}, N={N}")
-    step = N // n
-    indices = step * np.arange(n + 1, dtype=np.int64)
-    points = indices / N
-    return TimeThinning(N=N, n=n, step=step, points=points, indices=indices)
-
-
-@dataclass(frozen=True)
-class ApproxCoordinatePath:
-    mode: Mode
-    values: np.ndarray  # length n + 1, over the coarse times
-    times: np.ndarray
-    kappa_used: float
-    eta_used: float
-
-
-@dataclass(frozen=True)
-class VolatilityEstimate:
-    mode: Mode
-    value: float
-    n_used: int
+    return (N // n) * np.arange(n + 1, dtype=np.int64)
 
 
 def approx_coordinate(obs: Observation, mode: Mode, kappa_hat: float,
-                      eta_hat: float, tt: TimeThinning) -> ApproxCoordinatePath:
-    """Riemann-sum reconstruction of one coordinate path at the coarse times,
-    from the lattice slices of an observation record.
+                      eta_hat: float) -> np.ndarray:
+    """Riemann-sum reconstruction of one coordinate path from the lattice
+    slices of an observation record: its values at the record's coarse
+    times ``obs.coarse``, as float64.
 
     The sum runs over j1 = 1..M1, j2 = 1..M2 exactly; the index-0 boundary
     rows are excluded and the index-M terms vanish on the zero boundary.
     """
-    if tt.N != obs.grid.N:
-        raise GridMismatchError(
-            f"time thinning was built for N={tt.N} but the field has "
-            f"N={obs.grid.N}")
-    if not np.array_equal(tt.indices, obs.coarse):
-        raise GridMismatchError("the record holds slices at other times than "
-                                "the time thinning's")
     k, l = mode
-    ys = obs.grid.ys()[1:]
-    zs = obs.grid.zs()[1:]
-    wy = factor_table(k, ys, -kappa_hat, amp=1.0)
-    wz = factor_table(l, zs, -eta_hat, amp=1.0)
-    sub = obs.slices[:, 1:, 1:]
+    wy = factor_table(k, obs.grid.ys()[1:], -kappa_hat, amp=1.0)
+    wz = factor_table(l, obs.grid.zs()[1:], -eta_hat, amp=1.0)
     m_total = obs.grid.M1 * obs.grid.M2
-    vals = (2.0 / m_total) * np.einsum("tij,i,j->t", sub, wy, wz)
-    return ApproxCoordinatePath(mode=Mode(*mode), values=vals,
-                                times=tt.points.copy(),
-                                kappa_used=kappa_hat, eta_used=eta_hat)
+    return (2.0 / m_total) * np.einsum("tij,i,j->t", obs.slices[:, 1:, 1:],
+                                       wy, wz)
 
 
-def realized_qv(path: ApproxCoordinatePath) -> VolatilityEstimate:
+def realized_qv(path: np.ndarray) -> float:
     """Realized quadratic variation: sum of squared increments along the
-    coarse grid; estimates the squared per-mode volatility."""
-    if path.values.shape[0] < 2:
+    coarse grid; estimates the squared per-mode volatility.  Refuses a path
+    of fewer than 2 values and a non-finite sum with ``ConfigError``."""
+    if path.shape[0] < 2:
         raise ConfigError("realized variation needs a path of length >= 2")
-    d = np.diff(path.values)
-    return VolatilityEstimate(mode=path.mode, value=float(np.dot(d, d)),
-                              n_used=int(d.shape[0]))
+    d = np.diff(path)
+    qv = float(np.dot(d, d))
+    if not np.isfinite(qv):
+        raise ConfigError(f"realized variation is {qv}: the record's coarse "
+                          "slices hold a non-finite or overflowing value")
+    return qv

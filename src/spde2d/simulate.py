@@ -19,7 +19,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, GridMismatchError, MemoryBudgetError
+from .errors import (ConfigError, GridMismatchError, MemoryBudgetError,
+                     check_count)
 from .model import (Mode, ModelParams, NoiseKind, check_point, eigenvalue,
                     factor_table, mode_grid, mode_volatility)
 
@@ -39,9 +40,7 @@ class SpaceTimeGrid:
 
     def __post_init__(self):
         for name in ("N", "M1", "M2"):
-            v = getattr(self, name)
-            if not (isinstance(v, int) and v >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {v!r}")
+            check_count(name, getattr(self, name))
 
     @property
     def dt(self) -> float:
@@ -65,10 +64,8 @@ class TruncationSpec:
     L: int
 
     def __post_init__(self):
-        if not (isinstance(self.K, int) and self.K >= 1):
-            raise ConfigError(f"K must be an integer >= 1, got {self.K!r}")
-        if not (isinstance(self.L, int) and self.L >= 1):
-            raise ConfigError(f"L must be an integer >= 1, got {self.L!r}")
+        check_count("K", self.K)
+        check_count("L", self.L)
 
     @property
     def n_modes(self) -> int:
@@ -111,7 +108,8 @@ class RngSeed:
     master: int
 
     def __post_init__(self):
-        if not (isinstance(self.master, int) and 0 <= self.master <= _UINT64_MAX):
+        if (isinstance(self.master, bool) or not isinstance(self.master, int)
+                or not 0 <= self.master <= _UINT64_MAX):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.master!r}")
 
 

@@ -13,11 +13,12 @@ import pytest
 
 from spde2d import _kernels_py, fieldio, kernels
 from spde2d.cli import main as cli_main
+from spde2d.contrast import ContrastConfig
 from spde2d.errors import ConfigError, GridMismatchError
 from spde2d.harness import (ExperimentConfig, cross_section_dump,
                             default_config, diagnostics, estimate_field,
                             load_config, run_monte_carlo, run_replication,
-                            section_record)
+                            section_record, thinnings)
 from spde2d.model import NoiseKind
 from spde2d.simulate import (Observation, RngSeed, SpaceTimeGrid,
                              TruncationSpec, observe_sample, observe_slices,
@@ -128,6 +129,28 @@ class TestConfig:
 
 
 class TestReplication:
+    # sha256 of json.dumps([run_replication(cfg, r).to_dict() for r in
+    # (0, 1)], sort_keys=True) on SMALL with mu0 = 0.5.  JSON writes each
+    # float by repr, so the digest pins every estimate of the chain from
+    # the noise to the plug-ins bit for bit.
+    RECORDS_SHA = {
+        "q1": "bb22f52f8ad60d6a59bb6d991d21fbaa"
+              "1167578c7fc4a68806836d403b233703",
+        "q2-known-mu0": "04a9d38003d6801146c07afe04616750"
+                        "da0ae9b0cf25351bf002b2fc12871187",
+        "q2-unknown-mu0": "dda0098b71eeef7ff167f8a07ffa4a55"
+                          "70795facc600a86d857eeaef2ff04a1f",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(RECORDS_SHA))
+    def test_records_pinned(self, kind):
+        cfg = ExperimentConfig.from_dict(
+            {**SMALL, "kind": kind, "params": {**SMALL["params"], "mu0": 0.5}})
+        text = json.dumps([run_replication(cfg, r).to_dict() for r in (0, 1)],
+                          sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            self.RECORDS_SHA[kind]
+
     def test_deterministic_record(self, small_config):
         a = run_replication(small_config, 1)
         b = run_replication(small_config, 1)
@@ -159,6 +182,19 @@ class TestReplication:
                                seed=RngSeed(1))
         with pytest.raises(GridMismatchError):
             estimate_field(small_config, other)
+
+    def test_estimate_field_refuses_a_record_of_other_times(self,
+                                                            small_config):
+        # the record carries its coarse times; the plug-ins read them, so
+        # a record thinned in time otherwise than the config says is refused
+        cfg = small_config
+        thin, coarse = thinnings(cfg)
+        field = simulate_field(cfg.params, cfg.kind, cfg.grid, cfg.trunc,
+                               seed=cfg.seed)
+        record = observe_sample(field, thin.index_y, thin.index_z,
+                                coarse[::2])
+        with pytest.raises(GridMismatchError, match="other times"):
+            estimate_field(cfg, record)
 
 
 class TestMonteCarlo:
@@ -290,6 +326,22 @@ class TestMonteCarlo:
         s_row = next(r for r in table.rows if r["parameter"] == "s")
         assert theta2_row["fail_count"] == 1
         assert s_row["fail_count"] == 0
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpaceTimeGrid(True, 2, 2), lambda: SpaceTimeGrid(2, 2, True),
+    lambda: TruncationSpec(True, 3), lambda: TruncationSpec(3, True),
+    lambda: RngSeed(True), lambda: RngSeed(False),
+    lambda: ContrastConfig(init_grid=True),
+    lambda: ContrastConfig(init_grid=2.5),
+    lambda: run_monte_carlo(ExperimentConfig.from_dict(SMALL), threads=True),
+], ids=["grid-N", "grid-M2", "trunc-K", "trunc-L", "seed-True", "seed-False",
+        "init_grid-True", "init_grid-2.5", "threads-True"])
+def test_library_refuses_a_boolean_or_fraction_for_a_count(build):
+    # ExperimentConfig.from_dict refuses these; the library types must too,
+    # or a dump's sidecar records "truncation": [true, 3]
+    with pytest.raises(ConfigError):
+        build()
 
 
 class TestDiagnostics:
@@ -740,6 +792,31 @@ class TestCli:
         capsys.readouterr()
         assert cli_main(["estimate", "--config", cfg, "--field", field,
                          "--out-dir", out]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out, "estimate.json"))
+
+    @pytest.mark.parametrize("value, t, yz", [
+        # at a thinned point off the coarse times: the statistic is not
+        # finite (1e200 overflows when squared)
+        (math.nan, 5, 2), (math.inf, 5, 2), (1e200, 5, 2),
+        # in a coarse slice off the thinned points: the coordinate path is
+        # not finite
+        (math.nan, 4, 1),
+    ])
+    def test_estimate_refuses_a_dump_with_a_non_finite_value(
+            self, tmp_path, capsys, value, t, yz):
+        out = str(tmp_path)
+        field = os.path.join(out, "field.bin")
+        cfg = self._write_config(tmp_path)
+        assert cli_main(["simulate", "--config", cfg, "--out-dir", out]) == 0
+        m1, m2 = SMALL["grid"]["M1"] + 1, SMALL["grid"]["M2"] + 1
+        with open(field, "r+b") as fh:
+            fh.seek(24 + 8 * ((t * m1 + yz) * m2 + yz))
+            fh.write(np.array(value, dtype="<f8").tobytes())
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert cli_main(["estimate", "--config", cfg, "--field", field,
+                             "--out-dir", out]) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not os.path.exists(os.path.join(out, "estimate.json"))
 

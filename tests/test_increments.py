@@ -28,7 +28,7 @@ def _observed(field, thin):
 class TestSpaceThinning:
     def test_hand_enumerated_example(self):
         thin = build_space_thinning(10, 10, 5, 5, 0.2)
-        assert thin.J1 == 0 and thin.m1 == 4
+        assert thin.m1 == 4
         assert np.allclose(thin.points_y, [0.2, 0.4, 0.6, 0.8])
         assert np.array_equal(thin.index_y, [2, 4, 6, 8])
 

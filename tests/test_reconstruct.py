@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from spde2d.errors import ConfigError, GridMismatchError
+from spde2d.errors import ConfigError
 from spde2d.model import Mode, NoiseKind, eigenvalue
-from spde2d.reconstruct import (ApproxCoordinatePath, approx_coordinate,
-                                build_time_thinning, realized_qv)
+from spde2d.reconstruct import (approx_coordinate, build_time_thinning,
+                                realized_qv)
 from spde2d.simulate import (RngSeed, SpaceTimeGrid, TruncationSpec,
                              observe_sample, observe_slices,
                              simulate_coordinate_paths, simulate_field)
@@ -22,46 +22,45 @@ def _field(values, grid):
     return observe_slices(grid, [values], [], [], range(grid.N + 1), {})
 
 
-def _observed(field, tt):
-    return observe_sample(field, [1], [1], tt.indices)
-
-
-def _reconstruct(field, mode, kappa_hat, eta_hat, tt):
-    """``approx_coordinate`` on the observation record of ``field``."""
-    return approx_coordinate(_observed(field, tt), mode, kappa_hat, eta_hat,
-                             tt)
+def _reconstruct(field, mode, kappa_hat, eta_hat, coarse):
+    """``approx_coordinate`` on the observation record of ``field`` at the
+    coarse time indices ``coarse``."""
+    return approx_coordinate(observe_sample(field, [1], [1], coarse), mode,
+                             kappa_hat, eta_hat)
 
 
 class TestTimeThinning:
     def test_even_division(self):
-        tt = build_time_thinning(10, 5)
-        assert np.allclose(tt.points, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0])
-        assert tt.step == 2
+        coarse = build_time_thinning(10, 5)
+        assert coarse.dtype == np.int64
+        assert np.array_equal(coarse, [0, 2, 4, 6, 8, 10])
 
     def test_floor_division_discards_tail(self):
-        tt = build_time_thinning(10, 3)
-        assert tt.step == 3
-        assert np.allclose(tt.points, [0.0, 0.3, 0.6, 0.9])
+        assert np.array_equal(build_time_thinning(10, 3), [0, 3, 6, 9])
 
     def test_identity_thinning(self):
-        tt = build_time_thinning(8, 8)
-        assert np.allclose(tt.points, np.arange(9) / 8)
+        assert np.array_equal(build_time_thinning(8, 8), np.arange(9))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
             build_time_thinning(10, 11)
         with pytest.raises(ConfigError):
             build_time_thinning(10, 0)
+        # a fraction gave float indices past N, a boolean a count of 1
+        with pytest.raises(ConfigError):
+            build_time_thinning(10, 2.5)
+        with pytest.raises(ConfigError):
+            build_time_thinning(10, True)
 
 
 class TestApproxCoordinate:
     def test_zero_field_gives_zero_path(self, reference_params):
         grid = SpaceTimeGrid(N=10, M1=8, M2=8)
         field = _field(np.zeros((11, 9, 9)), grid)
-        tt = build_time_thinning(10, 5)
-        path = _reconstruct(field, Mode(1, 1), 1.0, 1.0, tt)
-        assert np.all(path.values == 0.0)
-        assert path.values.shape == (6,)
+        path = _reconstruct(field, Mode(1, 1), 1.0, 1.0,
+                            build_time_thinning(10, 5))
+        assert np.all(path == 0.0)
+        assert path.shape == (6,) and path.dtype == np.float64
 
     def test_exact_ratio_weights_reconstruct_exactly(self, reference_params):
         # with the true ratios the exponential weights cancel and the
@@ -72,10 +71,9 @@ class TestApproxCoordinate:
                                           trunc, seed=SEED)
         field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                trunc, seed=SEED)
-        tt = build_time_thinning(4, 4)
         rec = _reconstruct(field, Mode(1, 1), reference_params.kappa,
-                           reference_params.eta, tt)
-        assert np.allclose(rec.values, paths[0, 0], rtol=1e-12, atol=1e-14)
+                           reference_params.eta, build_time_thinning(4, 4))
+        assert np.allclose(rec, paths[0, 0], rtol=1e-12, atol=1e-14)
 
     def test_quadrature_error_vanishes_with_resolution(self, reference_params):
         # an offset ratio weight leaves a genuine Riemann sum; its
@@ -92,11 +90,10 @@ class TestApproxCoordinate:
                                               grid, trunc, seed=SEED)
             field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                    trunc, seed=SEED)
-            tt = build_time_thinning(4, 4)
             rec = _reconstruct(field, Mode(1, 1),
                                reference_params.kappa + 0.2,
-                               reference_params.eta, tt)
-            ratio = rec.values[1:] / paths[0, 0, 1:]
+                               reference_params.eta, build_time_thinning(4, 4))
+            ratio = rec[1:] / paths[0, 0, 1:]
             errs[m] = np.max(np.abs(ratio - factor))
         assert errs[100] < errs[50]
         assert errs[200] < errs[100]
@@ -112,60 +109,33 @@ class TestApproxCoordinate:
                                           trunc, seed=SEED)
         field = simulate_field(reference_params, NoiseKind.Q1, grid,
                                trunc, seed=SEED)
-        tt = build_time_thinning(4, 4)
+        coarse = build_time_thinning(4, 4)
         rec = _reconstruct(field, Mode(1, 1), reference_params.kappa + 0.1,
-                           reference_params.eta, tt)
+                           reference_params.eta, coarse)
         factor, _ = quad(lambda y: 2.0 * math.sin(math.pi * y) ** 2
                          * math.exp(0.05 * y), 0.0, 1.0)
-        ratio = rec.values[1:] / paths[0, 0, tt.indices][1:]
+        ratio = rec[1:] / paths[0, 0, coarse][1:]
         assert np.allclose(ratio, factor, rtol=2e-3)
 
     def test_linearity_in_the_field(self, reference_params, rng):
         grid = SpaceTimeGrid(N=6, M1=10, M2=10)
         a = rng.normal(size=(7, 11, 11))
         b = rng.normal(size=(7, 11, 11))
-        tt = build_time_thinning(6, 3)
-        fa = _field(a, grid)
-        fb = _field(b, grid)
-        fab = _field(a + 2.0 * b, grid)
-        pa = _reconstruct(fa, Mode(1, 2), 0.3, 0.7, tt).values
-        pb = _reconstruct(fb, Mode(1, 2), 0.3, 0.7, tt).values
-        pab = _reconstruct(fab, Mode(1, 2), 0.3, 0.7, tt).values
+        coarse = build_time_thinning(6, 3)
+        pa = _reconstruct(_field(a, grid), Mode(1, 2), 0.3, 0.7, coarse)
+        pb = _reconstruct(_field(b, grid), Mode(1, 2), 0.3, 0.7, coarse)
+        pab = _reconstruct(_field(a + 2.0 * b, grid), Mode(1, 2), 0.3, 0.7,
+                           coarse)
         assert np.allclose(pab, pa + 2.0 * pb, rtol=1e-12, atol=1e-14)
-
-    def test_grid_mismatch_rejected(self, reference_params):
-        grid = SpaceTimeGrid(N=10, M1=4, M2=4)
-        field = _field(np.zeros((11, 5, 5)), grid)
-        obs = _observed(field, build_time_thinning(10, 5))
-        tt = build_time_thinning(20, 5)
-        with pytest.raises(GridMismatchError):
-            approx_coordinate(obs, Mode(1, 1), 0.0, 0.0, tt)
-
-    def test_slices_of_other_times_rejected(self):
-        grid = SpaceTimeGrid(N=10, M1=4, M2=4)
-        field = _field(np.zeros((11, 5, 5)), grid)
-        obs = _observed(field, build_time_thinning(10, 5))
-        with pytest.raises(GridMismatchError, match="other times"):
-            approx_coordinate(obs, Mode(1, 1), 0.0, 0.0,
-                              build_time_thinning(10, 2))
 
 
 class TestRealizedQv:
     def test_constant_path_is_zero(self):
-        path = ApproxCoordinatePath(mode=Mode(1, 1),
-                                    values=np.full(11, 2.5),
-                                    times=np.arange(11) / 10.0,
-                                    kappa_used=0.0, eta_used=0.0)
-        est = realized_qv(path)
-        assert est.value == 0.0
-        assert est.n_used == 10
+        assert realized_qv(np.full(11, 2.5)) == 0.0
 
     def test_additive_over_increments(self, rng):
         values = rng.normal(size=21)
-        path = ApproxCoordinatePath(mode=Mode(1, 1), values=values,
-                                    times=np.arange(21) / 20.0,
-                                    kappa_used=0.0, eta_used=0.0)
-        total = realized_qv(path).value
+        total = realized_qv(values)
         manual = math.fsum((values[i + 1] - values[i]) ** 2 for i in range(20))
         assert total == pytest.approx(manual, rel=1e-14)
         assert total >= 0.0
@@ -209,8 +179,5 @@ class TestRealizedQv:
         assert abs(got - 2 * gamma2 ** 2) < 0.2 * 2 * gamma2 ** 2
 
     def test_path_too_short_rejected(self):
-        path = ApproxCoordinatePath(mode=Mode(1, 1), values=np.array([1.0]),
-                                    times=np.array([0.0]), kappa_used=0.0,
-                                    eta_used=0.0)
         with pytest.raises(ConfigError):
-            realized_qv(path)
+            realized_qv(np.array([1.0]))

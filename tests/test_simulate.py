@@ -484,13 +484,13 @@ class TestObservation:
     def test_sweep_record_equals_indexed_field(self, shape):
         overrides, rep = self.SHAPES[shape]
         cfg = ExperimentConfig.from_dict({**overrides, "seed": 11})
-        thin, tt = thinnings(cfg)
+        thin, coarse = thinnings(cfg)
         args = (cfg.params, cfg.kind, cfg.grid, cfg.trunc)
         field = simulate_field(*args, seed=cfg.seed, rep=rep)
-        want = observe_sample(field, thin.index_y, thin.index_z, tt.indices)
+        want = observe_sample(field, thin.index_y, thin.index_z, coarse)
         del field
         got = simulate_observation(*args, thin.index_y, thin.index_z,
-                                   tt.indices, seed=cfg.seed, rep=rep)
+                                   coarse, seed=cfg.seed, rep=rep)
         assert got.points.shape == (cfg.grid.N + 1, thin.m1, thin.m2)
         assert got.slices.shape == (cfg.thinning.n + 1, cfg.grid.M1 + 1,
                                     cfg.grid.M2 + 1)
