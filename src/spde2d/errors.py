@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count."""
 
 
 class ConfigError(ValueError):

@@ -181,3 +181,10 @@ class TestRealizedQv:
     def test_path_too_short_rejected(self):
         with pytest.raises(ConfigError):
             realized_qv(np.array([1.0]))
+
+    @pytest.mark.parametrize("last", [math.nan, math.inf, 1e200])
+    def test_non_finite_variation_rejected(self, last):
+        # 1e200 is finite, but its squared increment overflows
+        with pytest.raises(ConfigError, match="realized variation"):
+            with np.errstate(over="ignore", invalid="ignore"):
+                realized_qv(np.array([0.0, 1.0, last]))
