@@ -20,7 +20,8 @@ import sysconfig
 import tempfile
 
 import numpy as np
-from scipy.special import ndtri
+
+from ._kernels_py import ndtri
 
 SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_philox.c")
 COMMAND = [*shlex.split(sysconfig.get_config_var("LDSHARED") or ""),

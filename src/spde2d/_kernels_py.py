@@ -15,10 +15,79 @@ and draw ``i`` of a stream is lane ``i % 4`` of block ``i // 4``.  A raw
 
 which uses the top 53 bits.  It never reaches 0; the 2**11 words whose top
 53 bits are all ones round to exactly 1 (``z = inf``), one draw in 2**53.
+``ndtri`` is scipy's own ufunc, loaded here for the package (``_scipy_ndtri``).
 """
 
+import _imp
+import importlib
+import importlib.util
+import sys
+
 import numpy as np
-from scipy.special import ndtri
+
+
+def _scipy_ndtri():
+    """scipy's ``ndtri`` ufunc, without running ``scipy.special``'s package
+    init where that package is not loaded yet.
+
+    The ufunc lives in the extension ``scipy.special._ufuncs``; the
+    package's ``__init__`` also loads scipy's array-API layer, which took
+    0.17 s and 25 MB of a process's memory against 19 ms for the extension.
+    So, holding the interpreter's import lock, a stub of the package (its
+    real ``__path__``, marked as initializing, so that another thread's
+    import of the package waits for the lock) stands in while the extension
+    loads.  Then the stub and every ``scipy.special.*`` module loaded under
+    it leave ``sys.modules``: a later ``import scipy.special`` loads them
+    under the real package and finds this same ufunc object there.  Falls
+    back to ``from scipy.special import ndtri`` where the extension cannot
+    be loaded or has no ufunc named ``ndtri``.
+    """
+    # scipy's own package init runs outside the lock, under its module lock
+    import scipy  # noqa: F401
+    _imp.acquire_lock()
+    try:
+        ufunc = (None if "scipy.special" in sys.modules
+                 else _ufuncs_ndtri())
+    finally:
+        _imp.release_lock()
+    if isinstance(ufunc, np.ufunc) and ufunc.__name__ == "ndtri":
+        return ufunc
+    from scipy.special import ndtri
+    return ndtri
+
+
+def _ufuncs_ndtri():
+    """``scipy.special._ufuncs.ndtri`` loaded under a stub of its package,
+    or None where it cannot be; call with the import lock held."""
+    spec = importlib.util.find_spec("scipy.special")
+    if spec is None or spec.submodule_search_locations is None:
+        return None
+    stub = importlib.util.module_from_spec(spec)
+    spec._initializing = True
+
+    def forward(name):
+        # a module that took the stub from ``sys.modules`` in the window
+        # reads the real package's names once it is gone
+        if sys.modules.get("scipy.special") is stub:
+            raise AttributeError(name)
+        return getattr(importlib.import_module("scipy.special"), name)
+
+    stub.__getattr__ = forward
+    before = set(sys.modules)
+    sys.modules["scipy.special"] = stub
+    try:
+        return getattr(importlib.import_module("scipy.special._ufuncs"),
+                       "ndtri", None)
+    except ImportError:
+        return None
+    finally:
+        if sys.modules.get("scipy.special") is stub:
+            for name in set(sys.modules) - before:
+                if name.split(".")[:2] == ["scipy", "special"]:
+                    del sys.modules[name]
+
+
+ndtri = _scipy_ndtri()
 
 BACKEND_NAME = "python"
 

@@ -42,6 +42,10 @@ class ThinningConfig:
     delta: float = 0.05
     n: int = 100
 
+    def __post_init__(self):
+        for name in ("mbar1", "mbar2", "n"):
+            check_count(name, getattr(self, name))
+
 
 @dataclass(frozen=True)
 class Exponents:
@@ -64,9 +68,7 @@ class ExperimentConfig:
     exponents: Exponents = Exponents()
 
     def __post_init__(self):
-        if self.replications < 1:
-            raise ConfigError(
-                f"replications must be >= 1, got {self.replications}")
+        check_count("replications", self.replications)
         if self.kind.is_q2 and self.params.mu0 is None:
             raise ConfigError("Q2 noise requires params.mu0")
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import ConfigError, GridMismatchError, ThinningError
+from .errors import (ConfigError, GridMismatchError, ThinningError,
+                     check_count)
 from .model import (DerivedRatios, ModelParams, NoiseKind, check_point,
                     contrast_coefficient, damping_base, eigenvalue,
                     factor_table, mode_grid)
@@ -67,7 +68,9 @@ def build_space_thinning(M1: int, M2: int, mbar1: int, mbar2: int,
                          delta: float) -> SpaceThinning:
     """Construct the interior thinning; fails if an axis has no coarse
     point inside ``[delta, 1-delta]``."""
-    if not (1 <= mbar1 <= M1 and 1 <= mbar2 <= M2):
+    check_count("mbar1", mbar1)
+    check_count("mbar2", mbar2)
+    if not (mbar1 <= M1 and mbar2 <= M2):
         raise ConfigError(
             f"coarse counts must satisfy 1 <= mbar <= M, got "
             f"mbar1={mbar1}, M1={M1}, mbar2={mbar2}, M2={M2}")

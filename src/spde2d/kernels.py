@@ -25,9 +25,8 @@ import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
-from scipy.special import ndtri
 
-from ._kernels_py import normals, ou_step, sq_diff_accum, uniforms
+from ._kernels_py import ndtri, normals, ou_step, sq_diff_accum, uniforms
 # ou_sweep's step under a name of its own: a timing wrapper swapped in for
 # ``ou_step`` from outside would otherwise run for every chunk and thread
 from ._kernels_py import ou_step as _ou_step

@@ -1,6 +1,7 @@
 """Experiment harness: configuration, replication pipeline, summaries,
 cross sections, and the command-line interface."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -15,10 +16,10 @@ from spde2d import _kernels_py, fieldio, kernels
 from spde2d.cli import main as cli_main
 from spde2d.contrast import ContrastConfig
 from spde2d.errors import ConfigError, GridMismatchError
-from spde2d.harness import (ExperimentConfig, cross_section_dump,
-                            default_config, diagnostics, estimate_field,
-                            load_config, run_monte_carlo, run_replication,
-                            section_record, thinnings)
+from spde2d.harness import (ExperimentConfig, ThinningConfig,
+                            cross_section_dump, default_config, diagnostics,
+                            estimate_field, load_config, run_monte_carlo,
+                            run_replication, section_record, thinnings)
 from spde2d.model import NoiseKind
 from spde2d.simulate import (Observation, RngSeed, SpaceTimeGrid,
                              TruncationSpec, observe_sample, observe_slices,
@@ -335,8 +336,13 @@ class TestMonteCarlo:
     lambda: ContrastConfig(init_grid=True),
     lambda: ContrastConfig(init_grid=2.5),
     lambda: run_monte_carlo(ExperimentConfig.from_dict(SMALL), threads=True),
+    lambda: ThinningConfig(mbar1=2.5), lambda: ThinningConfig(mbar2=True),
+    lambda: ThinningConfig(n=2.5), lambda: ThinningConfig(n=True),
+    lambda: dataclasses.replace(ExperimentConfig.from_dict(SMALL),
+                                replications=True),
 ], ids=["grid-N", "grid-M2", "trunc-K", "trunc-L", "seed-True", "seed-False",
-        "init_grid-True", "init_grid-2.5", "threads-True"])
+        "init_grid-True", "init_grid-2.5", "threads-True", "mbar1-2.5",
+        "mbar2-True", "n-2.5", "n-True", "replications-True"])
 def test_library_refuses_a_boolean_or_fraction_for_a_count(build):
     # ExperimentConfig.from_dict refuses these; the library types must too,
     # or a dump's sidecar records "truncation": [true, 3]

@@ -70,3 +70,42 @@ def test_every_module_level_import_is_used():
                    for lineno, name in _module_imports(tree)
                    if name not in loaded and (path.stem, name) not in reached]
     assert unused == []
+
+
+def _imported_modules(node):
+    """Dotted names of the modules ``node`` imports: an import statement
+    (absolute) or an ``import_module`` or ``__import__`` call on a literal."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom) and not node.level:
+        return [node.module] + [f"{node.module}.{a.name}" for a in node.names]
+    if (isinstance(node, ast.Call) and node.args
+            and isinstance(node.args[0], ast.Constant)
+            and isinstance(node.args[0].value, str)):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(
+            func, "id", None)
+        if name in ("import_module", "__import__"):
+            return [node.args[0].value]
+    return []
+
+
+def test_only_the_ndtri_loader_imports_scipy_special():
+    # scipy.special's package init loads scipy's array-API layer: 0.17 s and
+    # about 15 MB of every process's peak memory, for one ufunc.  The
+    # package takes that ufunc from _kernels_py, whose loader reads it from
+    # the extension alone.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = set()
+        if path.name == "_kernels_py.py":
+            allowed = {id(node) for top in tree.body
+                       if isinstance(top, ast.FunctionDef)
+                       and top.name in ("_scipy_ndtri", "_ufuncs_ndtri")
+                       for node in ast.walk(top)}
+        found += [f"{path.name}:{node.lineno} imports {name}"
+                  for node in ast.walk(tree) if id(node) not in allowed
+                  for name in _imported_modules(node)
+                  if name.split(".")[:2] == ["scipy", "special"]]
+    assert found == []

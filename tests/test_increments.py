@@ -62,6 +62,15 @@ class TestSpaceThinning:
         with pytest.raises(ConfigError):
             build_space_thinning(10, 10, 5, 5, 0.5)
 
+    @pytest.mark.parametrize("mbar", [2.5, True, 0])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, mbar):
+        # a fraction gave a thinning (step 10 // 2.5 = 4.0, points
+        # [0.4, 0.8]); a boolean ended in a misleading ThinningError
+        with pytest.raises(ConfigError, match="mbar1"):
+            build_space_thinning(10, 10, mbar, 5, 0.2)
+        with pytest.raises(ConfigError, match="mbar2"):
+            build_space_thinning(10, 10, 5, mbar, 0.2)
+
 
 class TestSquaredIncrementField:
     def test_time_constant_field_is_zero(self):

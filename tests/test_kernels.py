@@ -475,19 +475,23 @@ def _package_copy(tmp_path):
     return pkg
 
 
-def _import(pkg, **env):
+def _import(pkg, probe=PROBE, **env):
     inherited = {k: v for k, v in os.environ.items()
                  if k != "PYTHONPYCACHEPREFIX"}
     return subprocess.Popen(
-        [sys.executable, "-c", PROBE], cwd=pkg.parent,
+        [sys.executable, "-c", probe], cwd=pkg.parent,
         env={**inherited, "PYTHONPATH": str(pkg.parent), **env},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
-def _run(pkg, **env):
-    with _import(pkg, **env) as proc:
-        out, err = proc.communicate(timeout=120)
-    return proc.returncode, out, err
+def _expect(pkg, out, probe=PROBE, **env):
+    """Run ``probe`` in a fresh interpreter on the package at ``pkg`` and
+    check that it exits 0, printing ``out`` and nothing on stderr; a
+    failure's message is the whole of stderr, which pytest would otherwise
+    cut from the compared tuple."""
+    with _import(pkg, probe, **env) as proc:
+        got, err = proc.communicate(timeout=120)
+    assert (proc.returncode, got, err) == (0, out, ""), err
 
 
 def _cache(pkg):
@@ -496,20 +500,20 @@ def _cache(pkg):
 
 def test_fresh_import_builds_the_compiled_words(compiled_philox, tmp_path):
     pkg = _package_copy(tmp_path)
-    assert _run(pkg) == (0, "c\nTrue\n", "")
+    _expect(pkg, "c\nTrue\n")
     (built,) = _cache(pkg)
     assert built.name.endswith(sysconfig.get_config_var("EXT_SUFFIX"))
 
 
 def test_second_import_runs_no_compiler(compiled_philox, tmp_path):
     pkg = _package_copy(tmp_path)
-    assert _run(pkg)[0] == 0
+    _expect(pkg, "c\nTrue\n")
     (built,) = _cache(pkg)
     before = built.stat()
     # with no compiler on the path, a build would fall back to "python"
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert _run(pkg, PATH=str(empty)) == (0, "c\nTrue\n", "")
+    _expect(pkg, "c\nTrue\n", PATH=str(empty))
     assert _cache(pkg) == [built]
     after = built.stat()
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino,
@@ -518,11 +522,11 @@ def test_second_import_runs_no_compiler(compiled_philox, tmp_path):
 
 def test_changed_source_gets_its_own_cache_file(compiled_philox, tmp_path):
     pkg = _package_copy(tmp_path)
-    assert _run(pkg) == (0, "c\nTrue\n", "")
+    _expect(pkg, "c\nTrue\n")
     (first,) = _cache(pkg)
     with open(pkg / "_philox.c", "a") as fh:
         fh.write("/* edited */\n")
-    assert _run(pkg) == (0, "c\nTrue\n", "")
+    _expect(pkg, "c\nTrue\n")
     assert len(_cache(pkg)) == 2 and first in _cache(pkg)
 
 
@@ -533,14 +537,14 @@ def test_missing_compiler_falls_back_silently(tmp_path):
     pkg = _package_copy(tmp_path)
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert _run(pkg, PATH=str(empty)) == (0, "python\nTrue\n", "")
+    _expect(pkg, "python\nTrue\n", PATH=str(empty))
     assert _cache(pkg) == []
 
 
 def test_failed_compile_falls_back_silently(tmp_path):
     pkg = _package_copy(tmp_path)
     (pkg / "_philox.c").write_text("#error not a Philox\n")
-    assert _run(pkg) == (0, "python\nTrue\n", "")
+    _expect(pkg, "python\nTrue\n")
     assert _cache(pkg) == []
 
 
@@ -549,7 +553,7 @@ def test_unwritable_cache_falls_back(tmp_path):
     # stop a process run as root
     pkg = _package_copy(tmp_path)
     (pkg / "__pycache__").write_text("")
-    assert _run(pkg) == (0, "python\nTrue\n", "")
+    _expect(pkg, "python\nTrue\n")
 
 
 def test_pycache_prefix_holds_the_cache(compiled_philox, tmp_path):
@@ -557,7 +561,7 @@ def test_pycache_prefix_holds_the_cache(compiled_philox, tmp_path):
     pkg = _package_copy(tmp_path)
     (pkg / "__pycache__").write_text("")
     prefix = tmp_path / "prefix"
-    assert _run(pkg, PYTHONPYCACHEPREFIX=str(prefix)) == (0, "c\nTrue\n", "")
+    _expect(pkg, "c\nTrue\n", PYTHONPYCACHEPREFIX=str(prefix))
     assert len(list(prefix.rglob("_philox.*"))) == 1
 
 
@@ -570,5 +574,112 @@ def test_processes_building_at_once_load_working_modules(compiled_philox,
         with proc:
             out, err = proc.communicate(timeout=120)
         results.append((proc.returncode, out, err))
-    assert results == [(0, "c\nTrue\n", "")] * 2
+    assert results == [(0, "c\nTrue\n", "")] * 2, \
+        "\n".join(err for _, _, err in results)
     assert len(_cache(pkg)) == 1
+
+
+# -- scipy's ndtri, loaded without scipy.special's package init -------------
+
+@pytest.fixture(scope="module")
+def loader_pkg(tmp_path_factory):
+    """A copy of the package, shared by the loader's fresh interpreters."""
+    return _package_copy(tmp_path_factory.mktemp("loader"))
+
+
+# the CLI's imports leave scipy.special and its array-API layer unloaded; a
+# later import of the package finds the loader's ufunc, and its error state
+# and other functions work
+LOADED_ALONE = """
+import sys
+import spde2d.cli
+from spde2d import kernels
+print(spde2d.BACKEND)
+print([m for m in ("scipy.special", "scipy._lib._array_api")
+       if m in sys.modules])
+import scipy.special
+print(kernels.ndtri is scipy.special.ndtri)
+with scipy.special.errstate(domain="raise"):
+    try:
+        scipy.special.ndtri(2.0)
+    except scipy.special.SpecialFunctionError:
+        print(scipy.special.gamma(5.0))
+"""
+
+
+def test_cli_import_leaves_scipy_special_unloaded(compiled_philox,
+                                                 loader_pkg):
+    _expect(loader_pkg, "c\n[]\nTrue\n24.0\n", LOADED_ALONE)
+
+
+def test_loader_reuses_a_loaded_scipy_special():
+    def loaded():
+        return {k: v for k, v in sys.modules.items()
+                if k.split(".")[:2] == ["scipy", "special"]}
+
+    before = loaded()
+    assert pyk._scipy_ndtri() is scipy.special.ndtri
+    after = loaded()
+    assert after.keys() == before.keys()
+    assert all(after[k] is v for k, v in before.items())
+
+
+# the first search for the extension, which the loader makes under its stub
+# of the package, fails
+REFUSED = """
+import sys
+
+class Refuse:
+    count = 0
+
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not Refuse.count:
+            Refuse.count += 1
+            raise ImportError("refused")
+        return None
+
+sys.meta_path.insert(0, Refuse())
+from spde2d import kernels
+print(Refuse.count, "scipy.special" in sys.modules)
+print(kernels.ndtri is sys.modules["scipy.special"].ndtri)
+"""
+
+
+def test_loader_falls_back_to_the_public_import(loader_pkg):
+    _expect(loader_pkg, "1 True\nTrue\n", REFUSED)
+
+
+# another thread imports from scipy.special while the loader's stub stands
+# in for the package: it waits for the import lock, then reads the real
+# package's names through the stub it took from sys.modules
+RACE = """
+import sys
+import threading
+import time
+
+got = {}
+
+def take():
+    from scipy.special import gamma
+    got["gamma"] = gamma
+
+class Race:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy.special._ufuncs" and not got:
+            got["thread"] = threading.Thread(target=take)
+            got["thread"].start()
+            time.sleep(0.2)
+        return None
+
+sys.meta_path.insert(0, Race())
+from spde2d import kernels
+got["thread"].join(60)
+print(got["thread"].is_alive(), got["gamma"](5.0))
+import scipy.special
+print(got["gamma"] is scipy.special.gamma,
+      kernels.ndtri is scipy.special.ndtri)
+"""
+
+
+def test_import_in_another_thread_gets_the_real_package(loader_pkg):
+    _expect(loader_pkg, "False 24.0\nTrue True\n", RACE)
