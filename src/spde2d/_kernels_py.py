@@ -31,12 +31,12 @@ def _scipy_ndtri():
     init where that package is not loaded yet.
 
     The ufunc lives in the extension ``scipy.special._ufuncs``; the
-    package's ``__init__`` also loads scipy's array-API layer, which took
-    0.17 s and 25 MB of a process's memory against 19 ms for the extension.
-    So, holding the interpreter's import lock, a stub of the package (its
-    real ``__path__``, marked as initializing, so that another thread's
-    import of the package waits for the lock) stands in while the extension
-    loads.  Then the stub and every ``scipy.special.*`` module loaded under
+    package's ``__init__`` also loads scipy's array-API layer, which costs
+    a process about 0.2 s and 15 MB of peak memory, against 15 ms for the
+    extension.  So, holding the interpreter's import lock, a stub of the
+    package (its real ``__path__``, marked as initializing, so that another
+    thread's import of the package waits for the lock) stands in while the
+    extension loads.  Then the stub and every ``scipy.special.*`` module loaded under
     it leave ``sys.modules``: a later ``import scipy.special`` loads them
     under the real package and finds this same ufunc object there.  Falls
     back to ``from scipy.special import ndtri`` where the extension cannot
@@ -60,14 +60,15 @@ def _ufuncs_ndtri():
     """``scipy.special._ufuncs.ndtri`` loaded under a stub of its package,
     or None where it cannot be; call with the import lock held."""
     spec = importlib.util.find_spec("scipy.special")
-    if spec is None or spec.submodule_search_locations is None:
+    if spec is None:
         return None
     stub = importlib.util.module_from_spec(spec)
     spec._initializing = True
 
     def forward(name):
-        # a module that took the stub from ``sys.modules`` in the window
-        # reads the real package's names once it is gone
+        # code that took the stub from ``sys.modules`` in the window, such
+        # as another thread's ``from scipy.special import ...``, reads the
+        # real package's names once the stub is gone
         if sys.modules.get("scipy.special") is stub:
             raise AttributeError(name)
         return getattr(importlib.import_module("scipy.special"), name)

@@ -68,8 +68,9 @@ def build_space_thinning(M1: int, M2: int, mbar1: int, mbar2: int,
                          delta: float) -> SpaceThinning:
     """Construct the interior thinning; fails if an axis has no coarse
     point inside ``[delta, 1-delta]``."""
-    check_count("mbar1", mbar1)
-    check_count("mbar2", mbar2)
+    for name, value in (("M1", M1), ("M2", M2), ("mbar1", mbar1),
+                        ("mbar2", mbar2)):
+        check_count(name, value)
     if not (mbar1 <= M1 and mbar2 <= M2):
         raise ConfigError(
             f"coarse counts must satisfy 1 <= mbar <= M, got "

@@ -62,14 +62,15 @@ class TestSpaceThinning:
         with pytest.raises(ConfigError):
             build_space_thinning(10, 10, 5, 5, 0.5)
 
-    @pytest.mark.parametrize("mbar", [2.5, True, 0])
-    def test_rejects_a_count_that_is_not_a_positive_integer(self, mbar):
-        # a fraction gave a thinning (step 10 // 2.5 = 4.0, points
+    @pytest.mark.parametrize("count", [2.5, True, 0])
+    def test_rejects_a_count_that_is_not_a_positive_integer(self, count):
+        # a fractional mbar gave a thinning (step 10 // 2.5 = 4.0, points
         # [0.4, 0.8]); a boolean ended in a misleading ThinningError
-        with pytest.raises(ConfigError, match="mbar1"):
-            build_space_thinning(10, 10, mbar, 5, 0.2)
-        with pytest.raises(ConfigError, match="mbar2"):
-            build_space_thinning(10, 10, 5, mbar, 0.2)
+        for i, name in enumerate(["M1", "M2", "mbar1", "mbar2"]):
+            args = [10, 10, 5, 5]
+            args[i] = count
+            with pytest.raises(ConfigError, match=name):
+                build_space_thinning(*args, 0.2)
 
 
 class TestSquaredIncrementField:
