@@ -8,21 +8,29 @@
  * ValueError.  The 128-bit products follow Salmon et al., "Parallel random
  * numbers: as easy as 1, 2, 3" (SC'11).
  *
- * sweep(lo, hi, chunk, block, ctr2, ctr3, key0, key1, decay, scale, prev,
- * tile) steps streams lo..hi-1 through the rows of tile, a (count, n) array
- * of OU states: row t is decay * (row t-1, or prev for t = 0) + scale * z,
- * with z lane t % 4 of the normals of counter block block + t / 4.  It
- * takes the streams in chunks of chunk, and for each counter block of the
- * tile writes the chunk's uniforms u53(x) = ((x >> 11) + 0.5) * 2^-53 to a
- * buffer, maps them in place by the d->d loop of the ufunc given to bind
- * (scipy.special.ndtri) and steps the chunk's streams.  The shift, the
- * conversion of a value below 2^53 and the scaling by a power of two are
- * exact, and the one rounding, of the + 0.5, is the IEEE double addition
- * NumPy performs; ndtri runs the very loop NumPy calls for ndtri(u,
- * out=u); and the step rounds its two products and its sum as NumPy's
- * three ufuncs do, for the module is compiled with -ffp-contract=off.  So
- * the states equal those of the NumPy code bit for bit.  The work runs
- * without the interpreter lock.
+ * sweep(lo, hi, chunk, block, L, key0, first_rep, decay, scale, prev, tile)
+ * steps streams lo..hi-1 through the rows of tile, a (count, n) array of
+ * OU states: row t is decay * (row t-1, or prev for t = 0) + scale * z,
+ * with z lane t % 4 of the normals of counter block block + t / 4.  decay
+ * and scale hold one coefficient per mode, KL of them with KL a multiple
+ * of L, and n is a multiple of KL: stream s is mode q = s % KL of
+ * replication first_rep + s / KL, whose words are counter (block, 0, q / L
+ * + 1, q % L + 1) under key (key0, first_rep + s / KL), and its
+ * coefficients decay[q] and scale[q].  A chunk's first stream locates its
+ * mode and replication by one division; the streams after it step them.
+ * It takes the streams in chunks of chunk, and for each counter block of
+ * the tile writes the chunk's uniforms u53(x) = ((x >> 11) + 0.5) * 2^-53
+ * to a buffer, maps them in place by the d->d loop of the ufunc given to
+ * bind (scipy.special.ndtri) and steps the chunk's streams.  The shift,
+ * the conversion of a value below 2^53 and the scaling by a power of two
+ * are exact, and the one rounding, of the + 0.5, is the IEEE double
+ * addition NumPy performs; ndtri runs the very loop NumPy calls for
+ * ndtri(u, out=u); and the step rounds its two products and its sum as
+ * NumPy's three ufuncs do, for the module is compiled with
+ * -ffp-contract=off.  So the states equal those of the NumPy code bit for
+ * bit.  The work runs without the interpreter lock.  Buffers of other
+ * types or lengths, L < 1, and key words or replications past 2^64 - 1
+ * raise ValueError.
  *
  * bind(ufunc) takes the d->d loop of a NumPy ufunc of one input and one
  * output; anything else raises TypeError or ValueError.  sweep raises
@@ -76,6 +84,23 @@ static int get_buffer(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t len,
     return -1;
 }
 
+/* A key word: an integer in [0, 2^64 - 1], or ValueError. */
+static int key_word(PyObject *obj, void *to)
+{
+    PyObject *i = PyNumber_Index(obj);
+    if (!i)
+        return 0;
+    *(unsigned long long *)to = PyLong_AsUnsignedLongLong(i);
+    Py_DECREF(i);
+    if (!PyErr_Occurred())
+        return 1;
+    if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+        PyErr_Clear();
+        PyErr_SetString(PyExc_ValueError, "sweep needs key0 and first_rep in [0, 2^64 - 1]");
+    }
+    return 0;
+}
+
 static PyObject *fill(PyObject *self, PyObject *args)
 {
     static const char error[] = "fill needs uint64 ctr2, ctr3, key1 of one length n and a uint64 out of 4n";
@@ -109,36 +134,42 @@ static PyObject *fill(PyObject *self, PyObject *args)
 
 static PyObject *sweep(PyObject *self, PyObject *args)
 {
-    static const char error[] = "sweep needs uint64 ctr2, ctr3, key1 and float64 decay, scale, prev of one "
-                                "length n and a writable float64 tile of a positive multiple of n";
-    Py_ssize_t lo, hi, chunk;
-    unsigned long long block, key0;
-    PyObject *obj[7];
-    Py_buffer buf[7];
+    static const char error[] = "sweep needs float64 decay and scale of one length KL, a positive multiple of "
+                                "L >= 1, a float64 prev of a positive multiple n of KL and a writable "
+                                "float64 tile of a positive multiple of n";
+    Py_ssize_t lo, hi, chunk, L;
+    unsigned long long block, key0, first_rep;
+    PyObject *obj[4];
+    Py_buffer buf[4];
     int got;
-    if (!PyArg_ParseTuple(args, "nnnKOOKOOOOO:sweep", &lo, &hi, &chunk, &block, &obj[0], &obj[1], &key0,
-                          &obj[2], &obj[3], &obj[4], &obj[5], &obj[6]))
+    if (!PyArg_ParseTuple(args, "nnnKnO&O&OOOO:sweep", &lo, &hi, &chunk, &block, &L, key_word, &key0,
+                          key_word, &first_rep, &obj[0], &obj[1], &obj[2], &obj[3]))
         return NULL;
     if (!ndtri_loop) {
         PyErr_SetString(PyExc_RuntimeError, "sweep: no ndtri loop is bound (bind(scipy.special.ndtri))");
         return NULL;
     }
-    if (get_buffer(obj[0], &buf[0], 0, -1, 0, error) < 0)
+    if (get_buffer(obj[0], &buf[0], 0, -1, 1, error) < 0)
         return NULL;
-    Py_ssize_t n = buf[0].len / 8;
-    for (got = 1; got < 7; got++)
-        if (get_buffer(obj[got], &buf[got], got == 6 ? PyBUF_WRITABLE : 0, got == 6 ? -1 : 8 * n, got > 2,
+    Py_ssize_t modes = buf[0].len / 8;
+    for (got = 1; got < 4; got++)
+        if (get_buffer(obj[got], &buf[got], got == 3 ? PyBUF_WRITABLE : 0, got == 1 ? 8 * modes : -1, 1,
                        error) < 0)
             break;
-    if (got < 7)
+    if (got < 4)
         goto done;
-    Py_ssize_t count = n ? buf[6].len / (8 * n) : 0;
-    if (!count || buf[6].len != 8 * n * count) {
+    Py_ssize_t n = buf[2].len / 8, count = n ? buf[3].len / (8 * n) : 0;
+    if (L < 1 || !modes || modes % L || n % modes || !count || buf[3].len != 8 * n * count) {
         PyErr_SetString(PyExc_ValueError, error);
         goto done;
     }
     if (lo < 0 || lo > hi || hi > n || chunk < 1) {
         PyErr_SetString(PyExc_ValueError, "sweep needs 0 <= lo <= hi <= n and chunk >= 1");
+        goto done;
+    }
+    if ((unsigned long long)(n / modes - 1) > UINT64_MAX - first_rep) {
+        PyErr_SetString(PyExc_ValueError, "sweep needs replications first_rep .. first_rep + n / KL - 1 "
+                                          "within 2^64 - 1");
         goto done;
     }
     Py_ssize_t width = hi - lo < chunk ? hi - lo : chunk;
@@ -147,18 +178,24 @@ static PyObject *sweep(PyObject *self, PyObject *args)
         PyErr_NoMemory();
         goto done;
     }
-    const uint64_t *c2 = buf[0].buf, *c3 = buf[1].buf, *k1 = buf[2].buf;
-    const double *decay = buf[3].buf, *scale = buf[4].buf, *prev = buf[5].buf;
-    double *tile = buf[6].buf;
+    const uint64_t K = modes / L;
+    const double *decay = buf[0].buf, *scale = buf[1].buf, *prev = buf[2].buf;
+    double *tile = buf[3].buf;
     Py_BEGIN_ALLOW_THREADS
     for (Py_ssize_t a = lo; a < hi; a += width) {
-        Py_ssize_t m = hi - a < width ? hi - a : width;
+        Py_ssize_t m = hi - a < width ? hi - a : width, q0 = a % modes;
+        uint64_t rep0 = first_rep + (uint64_t)(a / modes);
         for (Py_ssize_t j = 0; j < count; j += 4) {
-            uint64_t x[4];
+            uint64_t x[4], k = (uint64_t)(q0 / L) + 1, l = (uint64_t)(q0 % L) + 1, rep = rep0;
             for (Py_ssize_t s = 0; s < m; s++) {
-                philox(block + j / 4, c2[a + s], c3[a + s], key0, k1[a + s], x);
+                philox(block + j / 4, k, l, key0, rep, x);
                 for (int i = 0; i < 4; i++)
                     z[4 * s + i] = u53(x[i]);
+                if (++l > (uint64_t)L) {
+                    l = 1;
+                    if (++k > K)
+                        k = 1, rep++;
+                }
             }
             /* NumPy clears the flags before it runs a loop, so that the
              * loop's check of them sees its own alone */
@@ -169,9 +206,16 @@ static PyObject *sweep(PyObject *self, PyObject *args)
             for (Py_ssize_t t = j; t < count && t < j + 4; t++) {
                 const double *from = t ? tile + (t - 1) * n : prev;
                 double *to = tile + t * n;
-                for (Py_ssize_t s = a; s < a + m; s++) {
-                    double o = from[s] * decay[s], w = scale[s] * z[4 * (s - a) + t - j];
-                    to[s] = o + w;
+                /* runs of streams of one replication read their modes'
+                 * coefficients at one offset */
+                for (Py_ssize_t s = a, q = q0; s < a + m; s += modes - q, q = 0) {
+                    Py_ssize_t run = a + m - s < modes - q ? a + m - s : modes - q;
+                    const double *d = decay + q, *c = scale + q, *f = from + s, *w = z + 4 * (s - a) + t - j;
+                    double *o = to + s;
+                    for (Py_ssize_t i = 0; i < run; i++) {
+                        double u = f[i] * d[i], v = c[i] * w[4 * i];
+                        o[i] = u + v;
+                    }
                 }
             }
         }
@@ -183,7 +227,7 @@ done:
         PyBuffer_Release(&buf[i]);
     /* an ndtri loop reports a floating-point error, where scipy.special is
      * set to raise one, through the error indicator */
-    return got == 7 && !PyErr_Occurred() ? Py_NewRef(Py_None) : NULL;
+    return got == 4 && !PyErr_Occurred() ? Py_NewRef(Py_None) : NULL;
 }
 
 static PyObject *bind(PyObject *self, PyObject *ufunc)

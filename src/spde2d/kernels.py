@@ -122,34 +122,50 @@ def normal_block(block, ctr2, ctr3, key0, key1):
 def _sweep_words(words):
     """``(advance, chunk)`` for ``ou_sweep`` on ``words``.
 
-    ``advance(lo, hi, chunk, block, ctr2, ctr3, key0, key1, decay, scale,
-    prev, tile)`` steps streams ``lo`` to ``hi - 1``, in chunks of
-    ``chunk``, through the rows of ``tile``, a ``(count, n)`` array: row
-    ``t`` is ``ou_step`` of row ``t - 1`` (of ``prev`` for ``t = 0``) by
-    lane ``t % 4`` of the normals of counter block ``block + t // 4``.
-    Compiled words, which carry their module's ``sweep``
-    (``_cbuild.compiled``), take that and ``CHUNK`` (so does a
+    ``advance(lo, hi, chunk, block, L, key0, first_rep, decay, scale, prev,
+    tile)`` steps streams ``lo`` to ``hi - 1``, in chunks of ``chunk``,
+    through the rows of ``tile``, a ``(count, n)`` array: row ``t`` is
+    ``ou_step`` of row ``t - 1`` (of ``prev`` for ``t = 0``) by lane
+    ``t % 4`` of the normals of counter block ``block + t // 4``.  Stream
+    ``s`` is mode ``q = s % KL`` of replication ``first_rep + s // KL``,
+    for the ``KL = len(decay)`` coefficients of each: its words are those
+    of counter ``(block, 0, q // L + 1, q % L + 1)`` under key ``(key0,
+    first_rep + s // KL)``.  Compiled words, which carry their module's
+    ``sweep`` (``_cbuild.compiled``), take that and ``CHUNK`` (so does a
     ``functools.wraps`` wrapper of them, which copies the attribute);
-    others take the NumPy loop below and ``2 * CHUNK``: a desk field on the
-    NumPy words took a median 4.1 s in 16,384-stream chunks against 5.3 s
-    in 8,192-stream ones on a 2-vCPU host (7 alternated runs each)."""
+    others take the NumPy loop below, which builds each chunk's counters,
+    keys and coefficients, and ``2 * CHUNK``: a desk field on the NumPy
+    words took a median 4.1 s in 16,384-stream chunks against 5.3 s in
+    8,192-stream ones on a 2-vCPU host (7 alternated runs each)."""
     if hasattr(words, "sweep"):
         return words.sweep, CHUNK
 
-    def advance(lo, hi, chunk, block, ctr2, ctr3, key0, key1, decay, scale,
+    def advance(lo, hi, chunk, block, L, key0, first_rep, decay, scale,
                 prev, tile):
+        modes, row = len(decay), np.uint64(L)
         noise = np.empty((min(chunk, hi - lo), 4))
-        for j in range(0, len(tile), 4):
-            for a in range(lo, hi, chunk):
-                b = min(a + chunk, hi)
-                z = noise[:b - a]
-                uniforms(words(block + j // 4, ctr2[a:b], ctr3[a:b], key0,
-                               key1[a:b]), out=z)
+        for a in range(lo, hi, chunk):
+            b = min(a + chunk, hi)
+            # floor division by a scalar is fast where % and divmod are not
+            q = np.arange(a, b, dtype=np.uint64)
+            key1 = q // np.uint64(modes)
+            q -= key1 * np.uint64(modes)
+            ctr2 = q // row
+            ctr3 = q - ctr2 * row + 1
+            ctr2 += 1
+            key1 += np.uint64(first_rep)
+            # a chunk within one replication reads its coefficients in place
+            q0 = a % modes
+            d, c = ((decay[q0:q0 + b - a], scale[q0:q0 + b - a])
+                    if q0 + b - a <= modes else (decay.take(q), scale.take(q)))
+            z = noise[:b - a]
+            for j in range(0, len(tile), 4):
+                uniforms(words(block + j // 4, ctr2, ctr3, key0, key1),
+                         out=z)
                 ndtri(z, out=z)
                 for t in range(j, min(j + 4, len(tile))):
-                    _ou_step(tile[t - 1, a:b] if t else prev[a:b],
-                             decay[a:b], scale[a:b], z[:, t - j],
-                             out=tile[t, a:b])
+                    _ou_step(tile[t - 1, a:b] if t else prev[a:b], d, c,
+                             z[:, t - j], out=tile[t, a:b])
     return advance, 2 * CHUNK
 
 
@@ -159,25 +175,32 @@ def tile_steps(n):
     return 4 * max(1, TILE_BYTES // (32 * n))
 
 
-def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
+def ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit):
     """Run the OU streams from state ``x`` through ``steps`` exact steps,
     calling ``visit(i, state)`` with the state after step ``i`` for
     ``i = 0, ..., steps``.
 
-    Step ``i`` is ``state <- decay * state + scale * z`` (``ou_step``), with
-    ``z`` the normal of lane ``(i-1) % 4`` of counter block ``(i-1) // 4``
-    of ``normal_block``.  The steps run in tiles of ``tile_steps`` states:
-    each kernel thread takes a run of whole chunks of streams through the
-    tile, block by block, drawing one chunk's uniforms (``philox_raw_block``
-    read at call time, so swapping it swaps the words), mapping them by
-    ``ndtri`` in place and stepping the chunk's streams (``_sweep_words``).
-    Then the tile's ``visit`` calls are shared among the threads, in any
-    order, where the streams span several chunks; ``state`` is a view valid
-    for the call only.  ``x`` is not modified.
+    ``decay`` and ``scale`` hold the coefficients of the ``KL`` modes of
+    one replication, ``L`` to a row of modes, and ``x`` the states of
+    ``len(x) // KL`` replications from ``first_rep`` on: stream ``s`` is
+    mode ``q = s % KL`` of replication ``first_rep + s // KL``, whose noise
+    is that of ``normal_block`` for counter words ``(q // L + 1, q % L +
+    1)`` and key ``(key0, first_rep + s // KL)``.  Step ``i`` is ``state <-
+    decay[q] * state + scale[q] * z`` (``ou_step``), with ``z`` the normal
+    of lane ``(i-1) % 4`` of counter block ``(i-1) // 4``.  The steps run in
+    tiles of ``tile_steps`` states: each kernel thread takes a run of whole
+    chunks of streams through the tile, block by block, drawing one chunk's
+    uniforms (``philox_raw_block`` read at call time, so swapping it swaps
+    the words), mapping them by ``ndtri`` in place and stepping the chunk's
+    streams (``_sweep_words``).  Then the tile's ``visit`` calls are shared
+    among the threads, in any order, where the streams span several chunks;
+    ``state`` is a view valid for the call only.  ``x`` is not modified.
     """
     n = len(x)
     advance, chunk = _sweep_words(philox_raw_block)
     visit(0, x)
+    if not steps:
+        return
     rows = min(tile_steps(n), steps)
     tile = np.empty((rows, n))
     prev = x
@@ -185,7 +208,7 @@ def ou_sweep(x, decay, scale, ctr2, ctr3, key0, key1, steps, visit):
         count = min(rows, steps - first)
 
         def run(lo, hi):
-            advance(lo, hi, chunk, first // 4, ctr2, ctr3, key0, key1, decay,
+            advance(lo, hi, chunk, first // 4, L, key0, first_rep, decay,
                     scale, prev, tile[:count])
 
         def project(lo, hi):

@@ -141,13 +141,6 @@ class Observation:
         return self.slices.shape == (grid.N + 1, grid.M1 + 1, grid.M2 + 1)
 
 
-def _stream_words(trunc: TruncationSpec):
-    """Counter words (k, l) for the flattened row-major mode layout."""
-    c2 = np.repeat(np.arange(1, trunc.K + 1, dtype=np.uint64), trunc.L)
-    c3 = np.tile(np.arange(1, trunc.L + 1, dtype=np.uint64), trunc.K)
-    return c2, c3
-
-
 def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
            trunc: TruncationSpec, init: InitialCondition, seed: RngSeed,
            reps: range, visit) -> None:
@@ -162,44 +155,48 @@ def _sweep(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     modes = mode_grid(trunc.K, trunc.L)
     lam = eigenvalue(modes, params).ravel()
     gamma = mode_volatility(kind, modes, params).ravel()
-    n_reps = len(reps)
     # the exact OU transition over one step
-    decay = np.tile(np.exp(-lam * grid.dt), n_reps)
-    scale = np.tile(gamma * np.sqrt(-np.expm1(-2.0 * lam * grid.dt)
-                                    / (2.0 * lam)), n_reps)
-    c2, c3 = _stream_words(trunc)
-    c2 = np.tile(c2, n_reps)
-    c3 = np.tile(c3, n_reps)
-    key1 = np.repeat(np.array(reps, dtype=np.uint64), trunc.n_modes)
+    decay = np.exp(-lam * grid.dt)
+    scale = gamma * np.sqrt(-np.expm1(-2.0 * lam * grid.dt) / (2.0 * lam))
     # the sweep reads the transition alone: freeing the mode grid and the
     # per-mode arrays lowered a desk replication's peak RSS by 0.9 MB
     del modes, lam, gamma
     # Zero starts skip the dense table: allocating and freeing it before the
     # loop adds 1.5 MB to the peak RSS of a desk-scale replication.
-    x = np.zeros(n_reps * trunc.n_modes)
+    x = np.zeros((len(reps), trunc.n_modes))
     if init.coefficients:
-        x.reshape(n_reps, trunc.n_modes)[:] = init.dense(trunc).ravel()
-    kernels.ou_sweep(
-        x, decay, scale, c2, c3, seed.master, key1, grid.N,
-        lambda i, state: visit(i, state.reshape(n_reps, trunc.n_modes)))
+        x[:] = init.dense(trunc).ravel()
+    kernels.ou_sweep(x.ravel(), decay, scale, trunc.L, seed.master,
+                     reps.start, grid.N,
+                     lambda i, state: visit(i, state.reshape(x.shape)))
 
 
-def _check_request(first_rep: int, n_reps: int, nbytes: int, what: str,
-                   grid: SpaceTimeGrid, streams: int) -> None:
-    """Refuse replications outside the 64-bit stream keys, and ``nbytes``
-    of output plus a sweep of ``streams`` noise streams (six arrays of them
-    and a tile of states) above ``MEMORY_BUDGET``, before any allocation."""
+def _check_request(first_rep, n_reps, rep_bytes: int, what: str,
+                   grid: SpaceTimeGrid, trunc: TruncationSpec,
+                   chunk: int = 1) -> range:
+    """Replications ``first_rep .. first_rep+n_reps-1``, before any
+    allocation: refuse a boolean or a fraction for either and keys past
+    2**64 - 1 (``ConfigError``), and ``rep_bytes`` of output per
+    replication plus a sweep of ``chunk`` of them (start state and tile per
+    stream, two arrays per mode) above ``MEMORY_BUDGET``."""
+    for name, value in (("replication index", first_rep), ("reps", n_reps)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    first_rep, n_reps = int(first_rep), int(n_reps)
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
     if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
         raise ConfigError(
             f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
             f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
-    work = 8 * streams * (6 + min(kernels.tile_steps(streams), grid.N))
+    nbytes, streams = n_reps * rep_bytes, min(n_reps, chunk) * trunc.n_modes
+    work = 8 * (streams * (1 + min(kernels.tile_steps(streams), grid.N))
+                + 2 * trunc.n_modes)
     if nbytes + work > MEMORY_BUDGET:
         raise MemoryBudgetError(
             f"{what} needs {nbytes} bytes and its sweep {work} more, "
             f"exceeding the budget of {MEMORY_BUDGET}; shrink the request")
+    return range(first_rep, first_rep + n_reps)
 
 
 def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
@@ -217,18 +214,18 @@ def _observe(params: ModelParams, kind: NoiseKind, grid: SpaceTimeGrid,
     at most about 2M noise streams bound the working memory of a sweep.
     """
     chunk = max(1, (1 << 21) // trunc.n_modes)
-    _check_request(first_rep, n_reps,
-                   8 * n_reps * (grid.N + 1) * math.prod(shape), what,
-                   grid, min(n_reps, chunk) * trunc.n_modes)
-    out = np.empty((n_reps, grid.N + 1, *shape), dtype=np.float64)
-    for r0 in range(0, n_reps, chunk):
+    reps = _check_request(first_rep, n_reps,
+                          8 * (grid.N + 1) * math.prod(shape), what, grid,
+                          trunc, chunk)
+    out = np.empty((len(reps), grid.N + 1, *shape), dtype=np.float64)
+    for r0 in range(0, len(reps), chunk):
         rows = out[r0:r0 + chunk]
-        reps = range(first_rep + r0, first_rep + r0 + len(rows))
 
         def visit(i, states):
             rows[:, i] = project(states)
 
-        _sweep(params, kind, grid, trunc, init, seed, reps, visit)
+        _sweep(params, kind, grid, trunc, init, seed, reps[r0:r0 + chunk],
+               visit)
     return out
 
 
@@ -362,9 +359,9 @@ def simulate_observation(params: ModelParams, kind: NoiseKind,
                                                  coarse)
     shape = (grid.M1 + 1, grid.M2 + 1)
     points_shape = (grid.N + 1, len(index_y), len(index_z))
-    _check_request(rep, 1, 8 * (math.prod(points_shape)
-                                + len(coarse) * math.prod(shape)),
-                   "observation record", grid, trunc.n_modes)
+    rep = _check_request(rep, 1, 8 * (math.prod(points_shape)
+                                      + len(coarse) * math.prod(shape)),
+                         "observation record", grid, trunc).start
     points = np.empty(points_shape)
     slices = np.empty((len(coarse), *shape))
     slot = dict(zip(coarse.tolist(), range(len(coarse))))

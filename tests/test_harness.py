@@ -243,9 +243,8 @@ class TestMonteCarlo:
         # sweep spans two chunks on either word source, so it starts the pool
         monkeypatch.setattr(kernels, "_threads", 2)
         n = 4 * kernels.CHUNK
-        streams = np.zeros(n, dtype=np.uint64)
-        kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), streams,
-                         streams, 0, streams, 4, lambda i, state: None)
+        kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), 1, 0, 0, 4,
+                         lambda i, state: None)
 
         def noise_threads():
             return [t for t in threading.enumerate()

@@ -88,13 +88,26 @@ def test_normal_block_maps_the_active_words(monkeypatch):
                           pyk.normals(raw))
 
 
-def _edge_streams(n):
-    rng = np.random.default_rng(n)
-    c2, c3, k1 = (rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
-                  for _ in range(3))
-    c2[0], c3[0], k1[0] = 0, U64_MAX, U64_MAX
-    c2[-1], c3[-1], k1[-1] = U64_MAX, 0, 0
-    return c2, c3, k1
+def _layout(n):
+    """``(K, L, reps)`` of a sweep of ``n`` streams: as many of 3, 2 or 1
+    replications as divide ``n``, of ``K x L`` modes with ``L`` the largest
+    divisor of the modes up to their square root (1 for a prime)."""
+    reps = next(r for r in (3, 2, 1) if n % r == 0)
+    modes = n // reps
+    L = max(d for d in range(1, math.isqrt(modes) + 1) if modes % d == 0)
+    return modes // L, L, reps
+
+
+def _stream_words(layout, first_rep):
+    """The counter words ``(k, l)`` and key words of the sweep's streams
+    over ``layout``'s replications from ``first_rep`` on, by the mode grid
+    tiled once per replication."""
+    K, L, reps = layout
+    k, l = np.meshgrid(np.arange(1, K + 1, dtype=np.uint64),
+                       np.arange(1, L + 1, dtype=np.uint64), indexing="ij")
+    return (np.tile(k.ravel(), reps), np.tile(l.ravel(), reps),
+            np.repeat(np.arange(reps, dtype=np.uint64) + np.uint64(first_rep),
+                      K * L))
 
 
 def test_chunk_follows_the_word_source():
@@ -107,15 +120,17 @@ def test_chunk_follows_the_word_source():
             kernels._words._philox.sweep, 8192)
 
 
-def _sweep(c2, c3, k1, key0, steps, decay, scale):
-    """The states of ``ou_sweep`` from zero, ``(steps + 1, n)``."""
-    n = len(c2)
+def _sweep(layout, key0, first_rep, steps, decay, scale):
+    """The states of ``ou_sweep`` from zero over ``layout``'s replications
+    from ``first_rep`` on, ``(steps + 1, n)``."""
+    K, L, reps = layout
+    n = reps * K * L
     states = np.empty((steps + 1, n))
 
     def visit(i, state):
         states[i] = state
-    kernels.ou_sweep(np.zeros(n), np.full(n, decay), np.full(n, scale),
-                     c2, c3, key0, k1, steps, visit)
+    kernels.ou_sweep(np.zeros(n), np.full(K * L, decay),
+                     np.full(K * L, scale), L, key0, first_rep, steps, visit)
     return states
 
 
@@ -123,10 +138,11 @@ def _assert_sweep_draws_normal_block(n):
     # with decay 0 and scale 1 each state is its step's normal: lane
     # (i-1) % 4 of counter block (i-1) // 4 of normal_block; 9 steps span
     # two tiles at 32775 streams and above
-    c2, c3, k1 = _edge_streams(n)
+    layout = _layout(n)
     steps = 9
-    for key0 in (U64_MAX, 0):
-        states = _sweep(c2, c3, k1, key0, steps, 0.0, 1.0)
+    for key0, first_rep in ((U64_MAX, 0), (0, 2 ** 64 - layout[2])):
+        states = _sweep(layout, key0, first_rep, steps, 0.0, 1.0)
+        c2, c3, k1 = _stream_words(layout, first_rep)
         for i in range(1, steps + 1):
             z = kernels.normal_block((i - 1) // 4, c2, c3, key0, k1)
             assert np.array_equal(states[i], z[:, (i - 1) % 4])
@@ -155,8 +171,8 @@ def test_chunked_normal_block_bit_identical_on_numpy_words(n, threads,
     _assert_sweep_draws_normal_block(n)
 
 
-def _child_sweep(c2, c3, k1, expected):
-    got = _sweep(c2, c3, k1, 11, 8, 0.5, 1.0)
+def _child_sweep(layout, expected):
+    got = _sweep(layout, 11, 5, 8, 0.5, 1.0)
     os._exit(0 if np.array_equal(got, expected) else 1)
 
 
@@ -164,11 +180,11 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     # the parent's pool threads do not exist in a forked child; a child
     # that submitted to them would wait forever
     monkeypatch.setattr(kernels, "_threads", 2)
-    c2, c3, k1 = _edge_streams(4 * kernels.CHUNK + 7)
-    expected = _sweep(c2, c3, k1, 11, 8, 0.5, 1.0)
+    layout = _layout(4 * kernels.CHUNK + 7)
+    expected = _sweep(layout, 11, 5, 8, 0.5, 1.0)
     assert kernels._pool[0] == os.getpid()
     child = multiprocessing.get_context("fork").Process(
-        target=_child_sweep, args=(c2, c3, k1, expected))
+        target=_child_sweep, args=(layout, expected))
     child.start()
     child.join(timeout=60)
     alive = child.is_alive()
@@ -261,25 +277,30 @@ def test_compiled_uniform_map_matches_numpy_on_edge_words(compiled_u53, rng):
 @pytest.mark.parametrize("n", [1, 7, 4096])
 def test_compiled_sweep_draws_the_normals_of_its_words(compiled_philox, n):
     # with decay 0 and scale 1 row t of the tile is lane t of the block
-    c2, c3, k1 = _edge_streams(n)
-    zeros, ones = np.zeros(n), np.ones(n)
-    for block, key0 in ((0, U64_MAX), (U64_MAX, 0), (17, 20220121)):
+    K, L, reps = _layout(n)
+    zeros, ones = np.zeros(K * L), np.ones(K * L)
+    for block, key0, first_rep in ((0, U64_MAX, 2 ** 64 - reps),
+                                   (U64_MAX, 0, 0), (17, 20220121, 5)):
         tile = np.empty((4, n))
-        compiled_philox.sweep(0, n, kernels.CHUNK, block, c2, c3, key0, k1,
-                              zeros, ones, zeros, tile)
+        compiled_philox.sweep(0, n, kernels.CHUNK, block, L, key0, first_rep,
+                              zeros, ones, np.zeros(n), tile)
+        c2, c3, k1 = _stream_words((K, L, reps), first_rep)
         assert np.array_equal(tile.T.view(np.uint64), pyk.normal_block(
             block, c2, c3, key0, k1).view(np.uint64))
 
 
 def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
-    c2 = np.arange(8, dtype=np.uint64)
-    x = np.zeros(8)
+    # two replications of K = L = 2 modes
+    x, c = np.zeros(8), np.zeros(4)
 
-    def sweep(*, lo=0, hi=8, chunk=4, ctr2=c2, decay=x, prev=x,
-              tile=np.empty((2, 8))):
-        compiled_philox.sweep(lo, hi, chunk, 0, ctr2, c2, 1, c2, decay, x,
-                              prev, tile)
+    def sweep(*, lo=0, hi=8, chunk=4, L=2, key0=1, first_rep=0, decay=c,
+              scale=c, prev=x, tile=np.empty((2, 8))):
+        compiled_philox.sweep(lo, hi, chunk, 0, L, key0, first_rep, decay,
+                              scale, prev, tile)
     sweep()
+    sweep(L=4)
+    sweep(L=1, decay=x, scale=x)
+    sweep(key0=U64_MAX, first_rep=2 ** 64 - 2)
     for tile in (np.empty((8, 4), dtype=np.float32),  # 4-byte reals
                  np.empty((7, 4)), np.empty((9, 4)),  # not a multiple of 8
                  np.empty((0, 8)),                    # no row
@@ -289,17 +310,27 @@ def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
                  np.frombuffer(bytes(128)).reshape(2, 8)):   # read-only
         with pytest.raises(ValueError):
             sweep(tile=tile)
-    for kwargs in ({"ctr2": c2.astype(np.float64)},    # real counters
-                   {"ctr2": c2[:7]},                   # short ctr2
-                   {"decay": c2},                      # words for reals
-                   {"decay": x[:7]},                   # short decay
+    for kwargs in ({"decay": c.view(np.uint64)},       # words for reals
+                   {"scale": x[:3]},                   # short scale
+                   {"decay": x[:0], "scale": x[:0]},   # no mode
+                   {"prev": x.view(np.uint64)},        # words for reals
                    {"prev": np.zeros(16)[::2]},        # not contiguous
+                   {"L": 0}, {"L": -2},
+                   # coefficients not a multiple of L
+                   {"L": 3}, {"decay": x, "scale": x, "L": 3},
+                   # a prev not a multiple of the modes
+                   {"decay": x[:3], "scale": x[:3], "L": 1},
+                   {"prev": x[:6], "hi": 6, "tile": np.empty((2, 6))},
+                   # key words outside [0, 2**64 - 1]: that of the second
+                   # replication, of the first, and the first word
+                   {"first_rep": U64_MAX}, {"first_rep": 2 ** 64},
+                   {"first_rep": -1}, {"key0": 2 ** 64}, {"key0": -1},
                    {"lo": -1}, {"lo": 5, "hi": 4}, {"hi": 9}, {"chunk": 0}):
         with pytest.raises(ValueError):
             sweep(**kwargs)
 
 
-def _ou_paths(words, x, decay, scale, c2, c3, k1, steps):
+def _ou_paths(words, x, decay, scale, L, key0, first_rep, steps):
     """The states of ``ou_sweep`` on ``words``, ``(steps + 1, n)``."""
     states = np.empty((steps + 1, len(x)))
 
@@ -307,7 +338,7 @@ def _ou_paths(words, x, decay, scale, c2, c3, k1, steps):
         states[i] = state
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(kernels, "philox_raw_block", words)
-        kernels.ou_sweep(x, decay, scale, c2, c3, 20220121, k1, steps, visit)
+        kernels.ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit)
     return states
 
 
@@ -318,17 +349,49 @@ def _ou_paths(words, x, decay, scale, c2, c3, k1, steps):
 def test_compiled_sweep_equals_the_numpy_words_path(compiled_words, n,
                                                     threads, monkeypatch):
     # random decay and scale from a nonzero start; 1, 2, 3 and 9 steps, the
-    # last over three tiles at 65,536 streams and two at 16,391
+    # last over three tiles at 65,536 streams and two at 16,391; key words
+    # at both edges
     monkeypatch.setattr(kernels, "_threads", threads)
     rng = np.random.default_rng(n)
-    c2, c3, k1 = _edge_streams(n)
+    K, L, reps = _layout(n)
     x = rng.normal(size=n)
-    decay, scale = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 2.0, n)
-    for steps in (1, 2, 3, 9) if n < 65536 else (9,):
-        got = _ou_paths(compiled_words, x, decay, scale, c2, c3, k1, steps)
-        want = _ou_paths(pyk.philox_raw_block, x, decay, scale, c2, c3, k1,
-                         steps)
-        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    decay, scale = rng.uniform(0.0, 1.0, K * L), rng.uniform(0.0, 2.0, K * L)
+    for key0, first_rep in ((0, 2 ** 64 - reps), (U64_MAX, 0)):
+        for steps in (1, 2, 3, 9) if n < 65536 else (9,):
+            got = _ou_paths(compiled_words, x, decay, scale, L, key0,
+                            first_rep, steps)
+            want = _ou_paths(pyk.philox_raw_block, x, decay, scale, L, key0,
+                             first_rep, steps)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+# chunks of 4 and 7 streams split the 15 modes of a replication, chunks of
+# 15 match them, and chunks of 16 straddle them; the NumPy words take twice
+# as many
+@pytest.mark.parametrize("chunk", [4, 7, 15, 16])
+def test_sweep_over_chunks_that_split_replications(compiled_words, chunk,
+                                                   threads, monkeypatch):
+    # 7 replications of K=3 x L=5 modes, the last keyed by 2**64 - 1: each
+    # stream steps by the normals of its own mode's words and key, with
+    # its mode's coefficients, on either word source
+    monkeypatch.setattr(kernels, "_threads", threads)
+    monkeypatch.setattr(kernels, "CHUNK", chunk)
+    layout, first_rep, key0, steps = (3, 5, 7), 2 ** 64 - 7, U64_MAX, 9
+    rng = np.random.default_rng(chunk)
+    x = rng.normal(size=105)
+    decay, scale = rng.uniform(0.0, 1.0, 15), rng.uniform(0.0, 2.0, 15)
+    c2, c3, k1 = _stream_words(layout, first_rep)
+    for words in (compiled_words, pyk.philox_raw_block):
+        got = _ou_paths(words, x, decay, scale, 5, key0, first_rep, steps)
+        want = x.copy()
+        assert np.array_equal(got[0], want)
+        for i in range(1, steps + 1):
+            z = pyk.normal_block((i - 1) // 4, c2, c3, key0, k1)
+            pyk.ou_step(want, np.tile(decay, 7), np.tile(scale, 7),
+                        z[:, (i - 1) % 4])
+            assert np.array_equal(got[i].view(np.uint64),
+                                  want.view(np.uint64)), i
 
 
 def test_compiled_sweep_does_not_contract_the_step(compiled_philox):
@@ -336,8 +399,10 @@ def test_compiled_sweep_does_not_contract_the_step(compiled_philox):
     # x*d), differs from NumPy's two roundings of x*d + s*z: a module
     # compiled free to contract the step (gcc -ffp-contract=fast with FMA
     # instructions) fails here.
+    # One replication of K = L = 64 modes, whose coefficients are the
+    # streams' own.
     n = 4096
-    c2, c3, k1 = _edge_streams(n)
+    c2, c3, k1 = _stream_words((64, 64, 1), 5)
     z = pyk.normal_block(3, c2, c3, 5, k1)[:, 0]
     rng = np.random.default_rng(7)
     x, d, s = rng.normal(size=n), rng.uniform(size=n), rng.uniform(size=n)
@@ -345,12 +410,9 @@ def test_compiled_sweep_does_not_contract_the_step(compiled_philox):
     fused = [float(Fraction(a) * Fraction(b) + Fraction(c * w)) != r
              and float(Fraction(c) * Fraction(w) + Fraction(a * b)) != r
              for a, b, c, w, r in zip(x, d, s, z, two)]
-    c2, c3, k1, x, d, s, z, two = (v[fused] for v in (c2, c3, k1, x, d, s,
-                                                       z, two))
-    assert len(x) > 100
-    tile = np.empty((4, len(x)))
-    compiled_philox.sweep(0, len(x), kernels.CHUNK, 3, c2, c3, 5, k1, d, s,
-                          x, tile)
+    assert sum(fused) > 100
+    tile = np.empty((4, n))
+    compiled_philox.sweep(0, n, kernels.CHUNK, 3, 64, 5, 5, d, s, x, tile)
     want = x.copy()
     pyk.ou_step(want, d, s, z)
     assert np.array_equal(want, two)
@@ -371,11 +433,11 @@ def _unbound_copy(compiled_philox, tmp_path):
 
 
 def _sweep_one_stream(module):
-    """Row 0 to 3 of ``module.sweep`` with decay 0 and scale 1, one stream."""
-    one = np.ones(1, dtype=np.uint64)
+    """Row 0 to 3 of ``module.sweep`` with decay 0 and scale 1, one stream:
+    mode (1, 1) of replication 1 under key word 0."""
     tile = np.empty((4, 1))
-    module.sweep(0, 1, 1, 0, one, one, 0, one, np.zeros(1), np.ones(1),
-                 np.zeros(1), tile)
+    module.sweep(0, 1, 1, 0, 1, 0, 1, np.zeros(1), np.ones(1), np.zeros(1),
+                 tile)
     return tile[:, 0]
 
 

@@ -122,6 +122,51 @@ class TestCoordinatePaths:
             reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
             reps=1, first_rep=2 ** 64 - 1)[0])
 
+    # a boolean is not a replication, nor is a fraction
+    @pytest.mark.parametrize("simulate", [
+        lambda p, g, t: simulate_field(p, NoiseKind.Q1, g, t, seed=SEED,
+                                       rep=True),
+        lambda p, g, t: simulate_field(p, NoiseKind.Q1, g, t, seed=SEED,
+                                       rep=1.5),
+        lambda p, g, t: simulate_observation(p, NoiseKind.Q1, g, t, [1], [1],
+                                             [0], seed=SEED, rep=1.0),
+        lambda p, g, t: simulate_coordinate_paths(p, NoiseKind.Q1, g, t,
+                                                  seed=SEED, reps=True),
+        lambda p, g, t: simulate_coordinate_paths(p, NoiseKind.Q1, g, t,
+                                                  seed=SEED, reps=2.0),
+        lambda p, g, t: simulate_coordinate_paths(p, NoiseKind.Q1, g, t,
+                                                  seed=SEED, first_rep=True),
+        lambda p, g, t: simulate_point_values(p, NoiseKind.Q1, g, t,
+                                              [(0.5, 0.5)], seed=SEED,
+                                              reps=np.True_),
+        lambda p, g, t: simulate_point_values(p, NoiseKind.Q1, g, t,
+                                              [(0.5, 0.5)], seed=SEED,
+                                              first_rep=np.float64(2.0)),
+    ], ids=["field-rep-bool", "field-rep-fraction", "observation-rep-float",
+            "paths-reps-bool", "paths-reps-float", "paths-first-rep-bool",
+            "points-reps-numpy-bool", "points-first-rep-numpy-float"])
+    def test_boolean_or_fraction_replication_rejected(self, reference_params,
+                                                      simulate):
+        with pytest.raises(ConfigError, match="must be an integer, got"):
+            simulate(reference_params, SpaceTimeGrid(N=2, M1=2, M2=2),
+                     TruncationSpec(K=2, L=2))
+
+    def test_numpy_integer_replications_accepted(self, reference_params):
+        grid, trunc = SpaceTimeGrid(N=3, M1=2, M2=2), TruncationSpec(K=2, L=3)
+        field = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
+                               seed=SEED, rep=np.int64(3))
+        want = simulate_field(reference_params, NoiseKind.Q1, grid, trunc,
+                              seed=SEED, rep=3)
+        assert np.array_equal(field.slices, want.slices)
+        assert type(field.provenance["rep"]) is int
+        assert field.provenance == want.provenance
+        paths = simulate_coordinate_paths(
+            reference_params, NoiseKind.Q1, grid, trunc, seed=SEED,
+            reps=np.int32(2), first_rep=np.uint64(2 ** 64 - 2))
+        assert np.array_equal(paths, simulate_coordinate_paths(
+            reference_params, NoiseKind.Q1, grid, trunc, seed=SEED, reps=2,
+            first_rep=2 ** 64 - 2))
+
     def test_initial_mode_outside_truncation_rejected(self, reference_params):
         init = InitialCondition({Mode(5, 1): 1.0})
         with pytest.raises(ConfigError):
@@ -156,7 +201,9 @@ class TestCoordinatePaths:
         assert peak < 1 << 20
 
     # 648 bytes of output, or 8 of points and 72 of one slice, but 4,096
-    # noise streams: the sweep's 8 x 4,096 x (6 + 8) bytes exceed the budget
+    # noise streams: the sweep's start state and 8 tile rows of them and
+    # two coefficients per mode, 8 x 4,096 x (1 + 8 + 2) bytes, exceed the
+    # budget
     @pytest.mark.parametrize("simulate", [
         lambda p, grid, trunc: simulate_field(
             p, NoiseKind.Q1, grid, trunc, seed=SEED),
@@ -167,10 +214,34 @@ class TestCoordinatePaths:
                                             monkeypatch, simulate):
         monkeypatch.setattr("spde2d.simulate.MEMORY_BUDGET", 100_000)
         with pytest.raises(MemoryBudgetError,
-                           match=r"needs \d+ bytes and its sweep 458752 more"
+                           match=r"needs \d+ bytes and its sweep 360448 more"
                                  r", exceeding the budget of 100000"):
             simulate(reference_params, SpaceTimeGrid(N=8, M1=2, M2=2),
                      TruncationSpec(K=64, L=64))
+
+    def test_batched_sweep_holds_no_array_per_stream(self, reference_params,
+                                                     compiled_words,
+                                                     monkeypatch):
+        # 4,096 replications of K=L=8 modes are 262,144 noise streams in
+        # one sweep: its traced peak stays within the output, the start
+        # state, the tile and 1 MB, where one array of 8 bytes per stream
+        # is 2 MB
+        monkeypatch.setattr(kernels, "philox_raw_block", compiled_words)
+        monkeypatch.setattr(kernels, "_threads", 2)
+        reps, points = 4096, [(0.25, 0.5), (0.5, 0.75)]
+        grid, trunc = SpaceTimeGrid(N=4, M1=2, M2=2), TruncationSpec(K=8, L=8)
+        streams = reps * trunc.n_modes
+        rows = min(kernels.tile_steps(streams), grid.N)
+        bound = 8 * (reps * (grid.N + 1) * len(points)
+                     + streams * (1 + rows)) + (1 << 20)
+        tracemalloc.start()
+        try:
+            simulate_point_values(reference_params, NoiseKind.Q1, grid,
+                                  trunc, points, seed=SEED, reps=reps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 class TestNoiseContract:
@@ -434,7 +505,6 @@ class TestTiledSweep:
         monkeypatch.setattr(kernels, "_threads", 2)
         monkeypatch.setattr(kernels, "CHUNK", 4)
         n, done = 10, []
-        ctr = np.arange(n, dtype=np.uint64)
 
         def visit(i, state):
             if i == bad:
@@ -443,8 +513,8 @@ class TestTiledSweep:
             done.append(i)
 
         with pytest.raises(ValueError, match=f"step {bad}"):
-            kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), ctr, ctr,
-                             0, ctr, 9, visit)
+            kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), 1, 0, 0, 9,
+                             visit)
         count = len(done)
         time.sleep(0.1)
         assert len(done) == count
@@ -453,13 +523,20 @@ class TestTiledSweep:
         # the visits of a tile run on the kernel threads in any order
         n, seen = 10, []
         x = np.arange(1.0, n + 1)
-        ctr = np.arange(n, dtype=np.uint64)
-        kernels.ou_sweep(x, np.full(n, 0.5), np.zeros(n), ctr, ctr, 0, ctr,
-                         9, lambda i, s: seen.append((i, s.copy())))
+        kernels.ou_sweep(x, np.full(n, 0.5), np.zeros(n), 1, 0, 0, 9,
+                         lambda i, s: seen.append((i, s.copy())))
         assert sorted(i for i, _ in seen) == list(range(10))
         for i, s in seen:
             assert np.array_equal(s, np.arange(1.0, n + 1) * 0.5 ** i)
         assert np.array_equal(x, np.arange(1.0, n + 1))
+
+    def test_zero_steps_visit_the_start_alone(self):
+        seen = []
+        x = np.arange(1.0, 7.0)
+        kernels.ou_sweep(x, np.full(3, 0.5), np.ones(3), 3, 0, 0, 0,
+                         lambda i, s: seen.append((i, s.copy())))
+        assert len(seen) == 1 and seen[0][0] == 0
+        assert np.array_equal(seen[0][1], x)
 
 
 class TestObservation:
