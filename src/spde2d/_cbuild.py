@@ -10,7 +10,6 @@ free to contract them would fuse them into one FMA (gcc's default on
 aarch64, or on x86-64 with ``-mfma``).  Importing this module runs nothing.
 """
 
-import hashlib
 import importlib.machinery
 import importlib.util
 import os
@@ -33,21 +32,23 @@ COMMAND = [*shlex.split(sysconfig.get_config_var("LDSHARED") or ""),
 def build(directory):
     """Path of ``SOURCE`` compiled into ``directory`` as
     ``_philox.<key><EXT_SUFFIX>``, compiling it only when no file of that
-    key is there; raises ``ImportError`` on failure.  The key is a sha256 of
-    the source bytes, ``COMMAND``, ``EXT_SUFFIX`` and NumPy's version, whose
-    headers the module is compiled against.  The compile writes a
-    temporary file in ``directory`` and renames it into place, so processes
-    that build at once each load a complete module."""
+    key is there; raises ``ImportError`` on failure.  The key is the 64-bit
+    ``importlib.util.source_hash`` (the hash of Python's hash-based
+    bytecode, as 16 hex digits) of the source bytes, ``COMMAND``,
+    ``EXT_SUFFIX`` and NumPy's version, whose headers the module is
+    compiled against: its module is loaded already, where ``hashlib``
+    would load OpenSSL's ``libcrypto`` to name one file.  The compile
+    writes a temporary file in ``directory`` and renames it into place, so
+    processes that build at once each load a complete module."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     try:
         with open(SOURCE, "rb") as fh:
             code = fh.read()
     except OSError as exc:
         raise ImportError(f"cannot read {SOURCE}: {exc}") from exc
-    key = hashlib.sha256(
+    key = importlib.util.source_hash(
         b"\0".join([code, *(a.encode() for a in COMMAND), suffix.encode(),
-                    np.__version__.encode()])
-    ).hexdigest()[:16]
+                    np.__version__.encode()])).hex()
     target = os.path.join(directory, f"_philox.{key}{suffix}")
     if os.path.exists(target):
         return target

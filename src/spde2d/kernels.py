@@ -21,6 +21,7 @@ and key alone, as does its OU path: the output does not depend on the
 split.
 """
 
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 
@@ -39,6 +40,9 @@ except ImportError:
 BACKEND = _words.BACKEND_NAME
 philox_raw_block = _words.philox_raw_block
 
+
+# The largest key word and replication index: Philox keys are 64-bit.
+U64_MAX = 2 ** 64 - 1
 
 # Streams per chunk of the compiled words, measured on a 2-vCPU x86-64
 # host: a field at K=L=128 (16,384 streams) took 0.40 s in 8,192-stream
@@ -195,8 +199,31 @@ def ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit):
     streams (``_sweep_words``).  Then the tile's ``visit`` calls are shared
     among the threads, in any order, where the streams span several chunks;
     ``state`` is a view valid for the call only.  ``x`` is not modified.
+
+    Before the first ``visit``, on either word source, it refuses with
+    ``ValueError`` what the compiled ``sweep`` refuses: ``x``, ``decay``
+    and ``scale`` other than C-contiguous float64 vectors, ``L < 1``, no
+    mode, ``KL`` not a multiple of ``L`` or ``len(x)`` not a positive
+    multiple of it, ``steps < 0``, and key words or replications outside
+    [0, 2**64 - 1].  A non-integer ``L``, key word, replication or step
+    count raises ``TypeError``, as there.
     """
-    n = len(x)
+    L, key0, first_rep, steps = (operator.index(v)
+                                 for v in (L, key0, first_rep, steps))
+    n, modes = len(x), len(decay)
+    if not (all(isinstance(a, np.ndarray) and a.dtype == np.float64
+                and a.ndim == 1 and a.flags.c_contiguous
+                for a in (x, decay, scale))
+            and L >= 1 and modes and modes % L == 0 and len(scale) == modes
+            and n and n % modes == 0 and steps >= 0):
+        raise ValueError("ou_sweep needs float64 decay and scale of one "
+                         "length KL, a positive multiple of L >= 1, a float64 "
+                         "x of a positive multiple of KL streams and steps "
+                         ">= 0")
+    if not (0 <= key0 <= U64_MAX and 0 <= first_rep
+            and first_rep + n // modes - 1 <= U64_MAX):
+        raise ValueError("ou_sweep needs key0 and the replications first_rep "
+                         ".. first_rep + len(x) / KL - 1 in [0, 2**64 - 1]")
     advance, chunk = _sweep_words(philox_raw_block)
     visit(0, x)
     if not steps:

@@ -26,8 +26,6 @@ from .model import (Mode, ModelParams, NoiseKind, check_point, eigenvalue,
 
 MEMORY_BUDGET = 4 << 30  # bytes of output and sweep one call may hold
 
-_UINT64_MAX = 2 ** 64 - 1
-
 
 @dataclass(frozen=True)
 class SpaceTimeGrid:
@@ -109,7 +107,7 @@ class RngSeed:
 
     def __post_init__(self):
         if (isinstance(self.master, bool) or not isinstance(self.master, int)
-                or not 0 <= self.master <= _UINT64_MAX):
+                or not 0 <= self.master <= kernels.U64_MAX):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.master!r}")
 
 
@@ -185,7 +183,7 @@ def _check_request(first_rep, n_reps, rep_bytes: int, what: str,
     first_rep, n_reps = int(first_rep), int(n_reps)
     if n_reps < 1:
         raise ConfigError(f"reps must be >= 1, got {n_reps}")
-    if not 0 <= first_rep <= _UINT64_MAX - (n_reps - 1):
+    if not 0 <= first_rep <= kernels.U64_MAX - (n_reps - 1):
         raise ConfigError(
             f"replications {first_rep} .. {first_rep + n_reps - 1} must lie "
             f"in [0, 2**64 - 1]: each keys a 64-bit noise stream")
@@ -312,8 +310,10 @@ def observe_slices(grid: SpaceTimeGrid, blocks, index_y, index_z, coarse,
         if end > grid.N + 1 or rows.shape[1:] != slices.shape[1:]:
             raise misfit
         points[first:end] = rows[:, index_y[:, None], index_z]
-        lo, hi = np.searchsorted(coarse, [first, end])
-        slices[lo:hi] = rows[coarse[lo:hi] - first]
+        # slice by slice: a fancy index would copy the block's coarse
+        # slices into a temporary as large as the record first
+        for k in range(*np.searchsorted(coarse, [first, end])):
+            slices[k] = rows[coarse[k] - first]
         first = end
     if first != grid.N + 1:
         raise misfit

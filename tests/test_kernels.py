@@ -342,6 +342,56 @@ def _ou_paths(words, x, decay, scale, L, key0, first_rep, steps):
     return states
 
 
+# (x, decay, scale, L, key0, first_rep, steps) that the compiled sweep
+# refuses; the NumPy words once ran each, the first stepping its second
+# stream by the normals of replication 0
+ONE, TWO = np.zeros(1), np.zeros(2)
+REFUSED_SWEEPS = {
+    "replication past 2**64-1": (TWO, ONE, ONE, 1, 0, U64_MAX, 1),
+    "replication below 0": (TWO, ONE, ONE, 1, 0, -1, 1),
+    "key0 past 2**64-1": (TWO, ONE, ONE, 1, 2 ** 64, 0, 1),
+    "key0 below 0": (TWO, ONE, ONE, 1, -1, 0, 1),
+    "modes not a multiple of L": (np.zeros(6), *[np.zeros(3)] * 2, 2, 0, 0,
+                                  1),
+    "streams not a multiple of the modes": (np.zeros(5), *[np.zeros(3)] * 2,
+                                            3, 0, 0, 1),
+    "L of 0": (TWO, ONE, ONE, 0, 0, 0, 1),
+    "L below 0": (TWO, ONE, ONE, -1, 0, 0, 1),
+    "no stream": (np.zeros(0), ONE, ONE, 1, 0, 0, 1),
+    "no mode": (TWO, np.zeros(0), np.zeros(0), 1, 0, 0, 1),
+    "coefficients of two lengths": (TWO, TWO, ONE, 1, 0, 0, 1),
+    "steps below 0": (TWO, ONE, ONE, 1, 0, 0, -1),
+    "float32 states": (np.zeros(2, np.float32), ONE, ONE, 1, 0, 0, 1),
+    "float32 coefficients": (TWO, ONE, np.zeros(1, np.float32), 1, 0, 0, 1),
+    "strided states": (np.zeros(4)[::2], ONE, ONE, 1, 0, 0, 1),
+    "states of two axes": (np.zeros((2, 1)), ONE, ONE, 1, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED_SWEEPS))
+def test_sweep_refuses_before_the_first_visit(philox_words, case):
+    visits = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "philox_raw_block", philox_words)
+        with pytest.raises(ValueError, match="ou_sweep needs"):
+            kernels.ou_sweep(*REFUSED_SWEEPS[case],
+                             lambda i, state: visits.append(i))
+    assert visits == []
+
+
+@pytest.mark.parametrize("at", range(3, 7))
+def test_sweep_refuses_a_fraction_for_an_integer(philox_words, at):
+    # L, key0, first_rep or steps: a TypeError, as the compiled sweep's
+    args = [TWO, ONE, ONE, 1, 0, 0, 1]
+    args[at] = 1.0
+    visits = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "philox_raw_block", philox_words)
+        with pytest.raises(TypeError):
+            kernels.ou_sweep(*args, lambda i, state: visits.append(i))
+    assert visits == []
+
+
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
@@ -745,3 +795,32 @@ print(got["gamma"] is scipy.special.gamma,
 
 def test_import_in_another_thread_gets_the_real_package(loader_pkg):
     _expect(loader_pkg, "False 24.0\nTrue True\n", RACE)
+
+
+# -- what an import loads ---------------------------------------------------
+
+# The CLI's imports leave out the process pool (multiprocessing and socket)
+# and hashlib (OpenSSL's libcrypto); a Monte Carlo run over two workers
+# imports the pool then, forks through it and writes the serial run's bytes.
+LEAN = """
+import sys
+import spde2d.cli
+from spde2d import harness
+heavy = ("multiprocessing", "concurrent.futures.process", "hashlib",
+         "_hashlib")
+print([m for m in heavy if m in sys.modules])
+config = harness.ExperimentConfig.from_dict({
+    "grid": {"N": 20, "M1": 10, "M2": 10}, "truncation": {"K": 4, "L": 4},
+    "thinning": {"mbar1": 5, "mbar2": 5, "delta": 0.05, "n": 10},
+    "replications": 2, "seed": 5})
+serial = harness.run_monte_carlo(config).to_json()
+print("concurrent.futures.process" in sys.modules)
+forked = harness.run_monte_carlo(config, threads=2).to_json()
+from concurrent.futures import process
+print(harness.ProcessPoolExecutor is process.ProcessPoolExecutor,
+      forked == serial)
+"""
+
+
+def test_cli_import_leaves_the_process_pool_and_hashlib_unloaded(loader_pkg):
+    _expect(loader_pkg, "[]\nFalse\nTrue True\n", LEAN)

@@ -659,6 +659,26 @@ class TestObserveSlices:
         assert np.array_equal(whole.slices, values)
         assert whole.points.shape == (5, 0, 0)
 
+    def test_sample_copies_each_slice_once(self):
+        # the desk thinning of a K=L=8 field on the N=1000, 50x50 grid: a
+        # 2.30 MB record.  Its coarse slices go straight into the record,
+        # where a fancy index first copied them all into a temporary
+        # (4.41 MB traced); what is left is the points' 0.2 MB temporary.
+        cfg = ExperimentConfig.from_dict({"truncation": {"K": 8, "L": 8},
+                                          "seed": 11})
+        thin, coarse = thinnings(cfg)
+        field = simulate_field(cfg.params, cfg.kind, cfg.grid, cfg.trunc,
+                               seed=cfg.seed)
+        tracemalloc.start()
+        try:
+            obs = observe_sample(field, thin.index_y, thin.index_z, coarse)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert obs.slices.shape == (101, 51, 51)
+        assert np.array_equal(obs.slices, field.slices[coarse])
+        assert peak <= obs.points.nbytes + obs.slices.nbytes + (1 << 19)
+
 
 class TestGridValidation:
     def test_grid_rejects_bad_sizes(self):
