@@ -32,14 +32,13 @@ COMMAND = [*shlex.split(sysconfig.get_config_var("LDSHARED") or ""),
 def build(directory):
     """Path of ``SOURCE`` compiled into ``directory`` as
     ``_philox.<key><EXT_SUFFIX>``, compiling it only when no file of that
-    key is there; raises ``ImportError`` on failure.  The key is the 64-bit
-    ``importlib.util.source_hash`` (the hash of Python's hash-based
-    bytecode, as 16 hex digits) of the source bytes, ``COMMAND``,
-    ``EXT_SUFFIX`` and NumPy's version, whose headers the module is
-    compiled against: its module is loaded already, where ``hashlib``
-    would load OpenSSL's ``libcrypto`` to name one file.  The compile
-    writes a temporary file in ``directory`` and renames it into place, so
-    processes that build at once each load a complete module."""
+    key is there; raises ``ImportError`` on failure.  The key is
+    ``importlib.util.source_hash`` (64 bits, as 16 hex digits) of the
+    source bytes, ``COMMAND``, ``EXT_SUFFIX`` and NumPy's version, whose
+    headers the module is compiled against; ``hashlib`` would load
+    OpenSSL's ``libcrypto`` only to name this file.  The compile writes a
+    temporary file in ``directory`` and renames it into place, so processes
+    that build at once each load a complete module."""
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     try:
         with open(SOURCE, "rb") as fh:

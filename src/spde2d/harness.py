@@ -414,8 +414,8 @@ def run_monte_carlo(config: ExperimentConfig, threads: int = 1
 def __getattr__(name):
     """``ProcessPoolExecutor``, imported on first access: only a Monte Carlo
     run over several workers forks, and the class brings in
-    ``multiprocessing`` and ``socket`` (0.8 MB of a replication process's
-    peak RSS)."""
+    ``multiprocessing`` and ``socket`` (0.9 MB of the peak RSS of a
+    process that runs desk replications)."""
     if name != "ProcessPoolExecutor":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from concurrent.futures import ProcessPoolExecutor

@@ -206,7 +206,7 @@ def ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit):
     mode, ``KL`` not a multiple of ``L`` or ``len(x)`` not a positive
     multiple of it, ``steps < 0``, and key words or replications outside
     [0, 2**64 - 1].  A non-integer ``L``, key word, replication or step
-    count raises ``TypeError``, as there.
+    count raises ``TypeError``, as it does in the compiled ``sweep``.
     """
     L, key0, first_rep, steps = (operator.index(v)
                                  for v in (L, key0, first_rep, steps))
