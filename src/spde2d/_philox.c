@@ -8,29 +8,40 @@
  * ValueError.  The 128-bit products follow Salmon et al., "Parallel random
  * numbers: as easy as 1, 2, 3" (SC'11).
  *
- * sweep(lo, hi, chunk, block, L, key0, first_rep, decay, scale, prev, tile)
- * steps streams lo..hi-1 through the rows of tile, a (count, n) array of
- * OU states: row t is decay * (row t-1, or prev for t = 0) + scale * z,
- * with z lane t % 4 of the normals of counter block block + t / 4.  decay
- * and scale hold one coefficient per mode, KL of them with KL a multiple
- * of L, and n is a multiple of KL: stream s is mode q = s % KL of
+ * sweep(cursor, hi, chunk, block, L, key0, first_rep, decay, scale, prev,
+ * tile) steps streams of 0..hi-1 through the rows of tile, a (count, n)
+ * array of OU states: row t is decay * (row t-1, or prev for t = 0) +
+ * scale * z, with z lane t % 4 of the normals of counter block block + t /
+ * 4.  decay and scale hold one coefficient per mode, KL of them with KL a
+ * multiple of L, and n is a multiple of KL: stream s is mode q = s % KL of
  * replication first_rep + s / KL, whose words are counter (block, 0, q / L
  * + 1, q % L + 1) under key (key0, first_rep + s / KL), and its
- * coefficients decay[q] and scale[q].  A chunk's first stream locates its
- * mode and replication by one division; the streams after it step them.
- * It takes the streams in chunks of chunk, and for each counter block of
- * the tile writes the chunk's uniforms u53(x) = ((x >> 11) + 0.5) * 2^-53
- * to a buffer, maps them in place by the d->d loop of the ufunc given to
- * bind (scipy.special.ndtri) and steps the chunk's streams.  The shift,
- * the conversion of a value below 2^53 and the scaling by a power of two
- * are exact, and the one rounding, of the + 0.5, is the IEEE double
+ * coefficients decay[q] and scale[q].  cursor is a writable buffer of one
+ * int64, shared by every thread that sweeps the same tile: a call claims
+ * the chunk of streams a..a+chunk-1 (cut at hi) by advancing the cursor
+ * from a to a + chunk with one atomic fetch-and-add, steps it, and claims
+ * the next until the cursor reaches hi.  So threads that call sweep on one
+ * cursor at once divide the streams from the cursor's value up to hi
+ * among them as each frees up, and every stream is stepped once; a call
+ * that starts on a cursor at or past hi does no work.  The cursor orders
+ * nothing else: the caller waits for every call before reading the tile.
+ * A chunk's first stream locates its mode and replication by one
+ * division; the streams after it step them.  For each counter block of
+ * the tile it writes the chunk's uniforms u53(x) = ((x >> 11) + 0.5) *
+ * 2^-53 to a buffer, maps them in place by the d->d loop of the ufunc
+ * given to bind (scipy.special.ndtri) and steps the chunk's streams.  The
+ * shift, the conversion of a value below 2^53 and the scaling by a power
+ * of two are exact, and the one rounding, of the + 0.5, is the IEEE double
  * addition NumPy performs; ndtri runs the very loop NumPy calls for
  * ndtri(u, out=u); and the step rounds its two products and its sum as
  * NumPy's three ufuncs do, for the module is compiled with
  * -ffp-contract=off.  So the states equal those of the NumPy code bit for
- * bit.  The work runs without the interpreter lock.  Buffers of other
- * types or lengths, L < 1, and key words or replications past 2^64 - 1
- * raise ValueError.
+ * bit.  The work runs without the interpreter lock, so an error that the
+ * loop reports is seen when the call returns: the call then moves the
+ * cursor to hi, so that no thread claims another chunk, and raises it.
+ * Buffers of other types or lengths, a cursor below 0, hi past n, chunk <
+ * 1, L < 1, and key words or replications past 2^64 - 1 raise ValueError
+ * before any work.
  *
  * bind(ufunc) takes the d->d loop of a NumPy ufunc of one input and one
  * output; anything else raises TypeError or ValueError.  sweep raises
@@ -68,16 +79,20 @@ static PyUFuncGenericFunction ndtri_loop;
 static void *ndtri_data;
 static PyObject *ndtri_owner;
 
+/* The struct codes of 8-byte float64, uint64 and int64 items. */
+#define REAL "d"
+#define WORD "QL"
+#define SIGNED "ql"
+
 /* Acquire a C-contiguous buffer of len bytes (any length when len < 0) of
- * float64 items where real, else of uint64 ones. */
-static int get_buffer(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t len, int real,
+ * 8-byte items of one of the struct codes in kinds. */
+static int get_buffer(PyObject *obj, Py_buffer *view, int flags, Py_ssize_t len, const char *kinds,
                       const char *error)
 {
     if (PyObject_GetBuffer(obj, view, flags | PyBUF_C_CONTIGUOUS | PyBUF_FORMAT) < 0)
         return -1;
     const char *f = view->format + (view->format[0] && strchr("@=<", view->format[0]));
-    if (view->itemsize == 8 && (real ? !strcmp(f, "d") : !strcmp(f, "Q") || !strcmp(f, "L")) &&
-        (len < 0 || view->len == len))
+    if (view->itemsize == 8 && f[0] && !f[1] && strchr(kinds, f[0]) && (len < 0 || view->len == len))
         return 0;
     PyBuffer_Release(view);
     PyErr_SetString(PyExc_ValueError, error);
@@ -110,11 +125,11 @@ static PyObject *fill(PyObject *self, PyObject *args)
     int got;
     if (!PyArg_ParseTuple(args, "KOOKOO:fill", &block, &obj[0], &obj[1], &key0, &obj[2], &obj[3]))
         return NULL;
-    if (get_buffer(obj[0], &buf[0], 0, -1, 0, error) < 0)
+    if (get_buffer(obj[0], &buf[0], 0, -1, WORD, error) < 0)
         return NULL;
     Py_ssize_t n = buf[0].len / 8;
     for (got = 1; got < 4; got++)
-        if (get_buffer(obj[got], &buf[got], got == 3 ? PyBUF_WRITABLE : 0, (got == 3 ? 32 : 8) * n, 0,
+        if (get_buffer(obj[got], &buf[got], got == 3 ? PyBUF_WRITABLE : 0, (got == 3 ? 32 : 8) * n, WORD,
                        error) < 0)
             break;
     if (got == 4) {
@@ -134,37 +149,38 @@ static PyObject *fill(PyObject *self, PyObject *args)
 
 static PyObject *sweep(PyObject *self, PyObject *args)
 {
-    static const char error[] = "sweep needs float64 decay and scale of one length KL, a positive multiple of "
-                                "L >= 1, a float64 prev of a positive multiple n of KL and a writable "
-                                "float64 tile of a positive multiple of n";
-    Py_ssize_t lo, hi, chunk, L;
+    static const char error[] = "sweep needs a writable int64 cursor of one item, float64 decay and scale of "
+                                "one length KL, a positive multiple of L >= 1, a float64 prev of a positive "
+                                "multiple n of KL and a writable float64 tile of a positive multiple of n";
+    Py_ssize_t hi, chunk, L;
     unsigned long long block, key0, first_rep;
-    PyObject *obj[4];
-    Py_buffer buf[4];
+    PyObject *obj[5];
+    Py_buffer buf[5];
     int got;
-    if (!PyArg_ParseTuple(args, "nnnKnO&O&OOOO:sweep", &lo, &hi, &chunk, &block, &L, key_word, &key0,
+    if (!PyArg_ParseTuple(args, "OnnKnO&O&OOOO:sweep", &obj[4], &hi, &chunk, &block, &L, key_word, &key0,
                           key_word, &first_rep, &obj[0], &obj[1], &obj[2], &obj[3]))
         return NULL;
     if (!ndtri_loop) {
         PyErr_SetString(PyExc_RuntimeError, "sweep: no ndtri loop is bound (bind(scipy.special.ndtri))");
         return NULL;
     }
-    if (get_buffer(obj[0], &buf[0], 0, -1, 1, error) < 0)
+    if (get_buffer(obj[0], &buf[0], 0, -1, REAL, error) < 0)
         return NULL;
     Py_ssize_t modes = buf[0].len / 8;
-    for (got = 1; got < 4; got++)
-        if (get_buffer(obj[got], &buf[got], got == 3 ? PyBUF_WRITABLE : 0, got == 1 ? 8 * modes : -1, 1,
-                       error) < 0)
+    for (got = 1; got < 5; got++)
+        if (get_buffer(obj[got], &buf[got], got >= 3 ? PyBUF_WRITABLE : 0,
+                       got == 1 ? 8 * modes : got == 4 ? 8 : -1, got == 4 ? SIGNED : REAL, error) < 0)
             break;
-    if (got < 4)
+    if (got < 5)
         goto done;
     Py_ssize_t n = buf[2].len / 8, count = n ? buf[3].len / (8 * n) : 0;
     if (L < 1 || !modes || modes % L || n % modes || !count || buf[3].len != 8 * n * count) {
         PyErr_SetString(PyExc_ValueError, error);
         goto done;
     }
-    if (lo < 0 || lo > hi || hi > n || chunk < 1) {
-        PyErr_SetString(PyExc_ValueError, "sweep needs 0 <= lo <= hi <= n and chunk >= 1");
+    int64_t *cursor = buf[4].buf;
+    if (__atomic_load_n(cursor, __ATOMIC_RELAXED) < 0 || hi < 0 || hi > n || chunk < 1) {
+        PyErr_SetString(PyExc_ValueError, "sweep needs a cursor >= 0, 0 <= hi <= n and chunk >= 1");
         goto done;
     }
     if ((unsigned long long)(n / modes - 1) > UINT64_MAX - first_rep) {
@@ -172,7 +188,9 @@ static PyObject *sweep(PyObject *self, PyObject *args)
                                           "within 2^64 - 1");
         goto done;
     }
-    Py_ssize_t width = hi - lo < chunk ? hi - lo : chunk;
+    /* a claim past hi adds at most one chunk, which keeps the cursor far
+     * from overflow; one that wraps it reads below 0 and stops */
+    Py_ssize_t width = chunk < hi ? chunk : hi ? hi : 1;
     double *z = PyMem_RawMalloc(32 * width);
     if (!z) {
         PyErr_NoMemory();
@@ -182,7 +200,10 @@ static PyObject *sweep(PyObject *self, PyObject *args)
     const double *decay = buf[0].buf, *scale = buf[1].buf, *prev = buf[2].buf;
     double *tile = buf[3].buf;
     Py_BEGIN_ALLOW_THREADS
-    for (Py_ssize_t a = lo; a < hi; a += width) {
+    for (;;) {
+        int64_t a = __atomic_fetch_add(cursor, (int64_t)width, __ATOMIC_RELAXED);
+        if (a < 0 || a >= hi)
+            break;
         Py_ssize_t m = hi - a < width ? hi - a : width, q0 = a % modes;
         uint64_t rep0 = first_rep + (uint64_t)(a / modes);
         for (Py_ssize_t j = 0; j < count; j += 4) {
@@ -222,12 +243,14 @@ static PyObject *sweep(PyObject *self, PyObject *args)
     }
     Py_END_ALLOW_THREADS
     PyMem_RawFree(z);
+    /* an ndtri loop reports a floating-point error, where scipy.special is
+     * set to raise one, through the error indicator */
+    if (PyErr_Occurred())
+        __atomic_store_n(cursor, (int64_t)hi, __ATOMIC_RELAXED);
 done:
     for (int i = 0; i < got; i++)
         PyBuffer_Release(&buf[i]);
-    /* an ndtri loop reports a floating-point error, where scipy.special is
-     * set to raise one, through the error indicator */
-    return got == 4 && !PyErr_Occurred() ? Py_NewRef(Py_None) : NULL;
+    return got == 5 && !PyErr_Occurred() ? Py_NewRef(Py_None) : NULL;
 }
 
 static PyObject *bind(PyObject *self, PyObject *ufunc)
@@ -250,7 +273,7 @@ static PyObject *bind(PyObject *self, PyObject *ufunc)
 
 static PyMethodDef methods[] = {
     {"fill", fill, METH_VARARGS, "Philox4x64-10 words of one counter block into out."},
-    {"sweep", sweep, METH_VARARGS, "OU states of streams lo..hi-1 through the rows of tile."},
+    {"sweep", sweep, METH_VARARGS, "OU states of the streams claimed from cursor, through the rows of tile."},
     {"bind", bind, METH_O, "Take the d->d loop of a NumPy ufunc as sweep's ndtri."},
     {NULL, NULL, 0, NULL},
 };

@@ -14,15 +14,17 @@ tests compare those, the two maps and the two sweeps.
 
 ``normal_block`` is the reference form of the noise, one call on the
 calling thread.  ``ou_sweep`` is the only kernel that cuts the streams into
-chunks of ``CHUNK`` (twice that for any words but the compiled ones) and
-shares contiguous runs of chunks among the process's kernel threads.
-Philox is counter-based, so every stream's words depend on its own counter
-and key alone, as does its OU path: the output does not depend on the
-split.
+chunks of ``CHUNK`` (eight times that for any words but the compiled ones)
+and shares them among the process's kernel threads: each thread claims the
+next chunk, and then the next step to visit, as it frees up.  Philox is
+counter-based, so every stream's words depend on its own counter and key
+alone, as does its OU path: the output does not depend on which thread
+steps which chunk.
 """
 
 import operator
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -44,14 +46,21 @@ philox_raw_block = _words.philox_raw_block
 # The largest key word and replication index: Philox keys are 64-bit.
 U64_MAX = 2 ** 64 - 1
 
-# Streams per chunk of the compiled words, measured on a 2-vCPU x86-64
-# host: a field at K=L=128 (16,384 streams) took 0.40 s in 8,192-stream
-# chunks against 0.65 s in one 16,384-stream chunk, whose noise leaves the
-# second core idle; at K=L=256 both sizes took 1.6 s.  A chunk's normals
-# (256 KiB) stay in cache from the words through ndtri to the OU steps.
-# The NumPy words make ~170 ufunc calls per chunk, holding the interpreter
-# lock between them, and take chunks of 2 * CHUNK (``_sweep_words``).
-CHUNK = 8192
+# Streams per chunk of the compiled words.  Each kernel thread claims a
+# tile's next chunk as it frees up, so a thread that wakes late or is
+# preempted leaves the others the rest of the tile; smaller chunks even out
+# the threads' last claims.  Measured on a 2-vCPU x86-64 host at desk scale
+# (65,536 streams a tile), the noise kept the two cores busy 0.96 of its
+# wall time in chunks of 2,048 streams, 0.95 in 4,096 and 0.94 in 8,192,
+# and 0.88 when each thread took a fixed half of every tile.  A chunk's
+# normals (64 KiB) stay in cache from the words through ndtri to the OU
+# steps.  The NumPy words make ~170 ufunc calls per chunk, holding the
+# interpreter lock between them, and take chunks of 8 * CHUNK
+# (``_sweep_words``).
+CHUNK = 2048
+
+# Streams above which a tile's visits are shared among the kernel threads.
+SHARED_VISITS = 8192
 
 # Bytes of OU states one tile of ``ou_sweep`` holds: 4 steps of 65,536
 # streams, the size of one desk-scale normal block.
@@ -91,26 +100,47 @@ def drop_pool():
         pool.shutdown()
 
 
-def _share(run, n, unit):
-    """``run(lo, hi)`` over contiguous runs of whole ``unit``s of
-    ``range(n)``, one per kernel thread, the first on the calling thread;
-    returns, or raises the first error, once all are done.  A range of one
-    unit stays on the calling thread."""
-    units = -(-n // unit)
-    parts = min(_threads, units)
-    if parts <= 1:
-        run(0, n)
+def _share(work, units):
+    """Run ``work()``, a loop that claims units of one phase until none is
+    left, on every kernel thread, the calling thread first, but on no more
+    threads than there are ``units``; returns, or raises the first error,
+    once all are done.  A thread that wakes late finds fewer units left,
+    and none where the others took them all."""
+    threads = min(_threads, units)
+    if threads <= 1:
+        work()
         return
-    edges = [min(n, unit * (units * i // parts)) for i in range(parts + 1)]
     pool = _executor()
-    futures = [pool.submit(run, lo, hi)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
+    futures = [pool.submit(work) for _ in range(threads - 1)]
     try:
-        run(edges[0], edges[1])
+        work()
     finally:
         wait(futures)
     for f in futures:
         f.result()
+
+
+_claims = threading.Lock()
+
+
+def _claim_each(cursor, end, unit, work):
+    """``work(a)`` for each start ``a`` claimed from ``cursor``, a one-item
+    int64 array, by advancing it from ``a`` to ``a + unit``, until it
+    reaches ``end``: the claim loop that ``_philox.c``'s ``sweep`` runs in
+    C, for units claimed in Python.  A call that raises moves the cursor to
+    ``end``, so that no thread claims another unit."""
+    while True:
+        with _claims:
+            a = int(cursor[0])
+            cursor[0] = a + unit
+        if a >= end:
+            return
+        try:
+            work(a)
+        except BaseException:
+            with _claims:
+                cursor[0] = max(end, int(cursor[0]))
+            raise
 
 
 def normal_block(block, ctr2, ctr3, key0, key1):
@@ -126,29 +156,33 @@ def normal_block(block, ctr2, ctr3, key0, key1):
 def _sweep_words(words):
     """``(advance, chunk)`` for ``ou_sweep`` on ``words``.
 
-    ``advance(lo, hi, chunk, block, L, key0, first_rep, decay, scale, prev,
-    tile)`` steps streams ``lo`` to ``hi - 1``, in chunks of ``chunk``,
+    ``advance(cursor, hi, chunk, block, L, key0, first_rep, decay, scale,
+    prev, tile)`` claims chunks of ``chunk`` streams from ``cursor``, a
+    one-item int64 array that the kernel threads of one tile share, until
+    it reaches ``hi`` (``_philox.c``'s ``sweep`` says how), and steps each
     through the rows of ``tile``, a ``(count, n)`` array: row ``t`` is
-    ``ou_step`` of row ``t - 1`` (of ``prev`` for ``t = 0``) by lane
-    ``t % 4`` of the normals of counter block ``block + t // 4``.  Stream
-    ``s`` is mode ``q = s % KL`` of replication ``first_rep + s // KL``,
-    for the ``KL = len(decay)`` coefficients of each: its words are those
-    of counter ``(block, 0, q // L + 1, q % L + 1)`` under key ``(key0,
-    first_rep + s // KL)``.  Compiled words, which carry their module's
-    ``sweep`` (``_cbuild.compiled``), take that and ``CHUNK`` (so does a
+    ``ou_step`` of row ``t - 1`` (of ``prev`` for ``t = 0``) by lane ``t %
+    4`` of the normals of counter block ``block + t // 4``.  Stream ``s`` is
+    mode ``q = s % KL`` of replication ``first_rep + s // KL``, for the ``KL
+    = len(decay)`` coefficients of each: its words are those of counter
+    ``(block, 0, q // L + 1, q % L + 1)`` under key ``(key0, first_rep + s
+    // KL)``.  Compiled words, which carry their module's ``sweep``
+    (``_cbuild.compiled``), take that and ``CHUNK`` (so does a
     ``functools.wraps`` wrapper of them, which copies the attribute);
     others take the NumPy loop below, which builds each chunk's counters,
-    keys and coefficients, and ``2 * CHUNK``: a desk field on the NumPy
-    words took a median 4.1 s in 16,384-stream chunks against 5.3 s in
-    8,192-stream ones on a 2-vCPU host (7 alternated runs each)."""
+    keys and coefficients and claims its chunks in ``_claim_each``, and ``8
+    * CHUNK``: a desk field on the NumPy words took a median 4.1 s in
+    16,384-stream chunks against 5.3 s in 8,192-stream ones on a 2-vCPU
+    host (7 alternated runs each)."""
     if hasattr(words, "sweep"):
         return words.sweep, CHUNK
 
-    def advance(lo, hi, chunk, block, L, key0, first_rep, decay, scale,
+    def advance(cursor, hi, chunk, block, L, key0, first_rep, decay, scale,
                 prev, tile):
         modes, row = len(decay), np.uint64(L)
-        noise = np.empty((min(chunk, hi - lo), 4))
-        for a in range(lo, hi, chunk):
+        noise = np.empty((min(chunk, hi), 4))
+
+        def step(a):
             b = min(a + chunk, hi)
             # floor division by a scalar is fast where % and divmod are not
             q = np.arange(a, b, dtype=np.uint64)
@@ -170,7 +204,8 @@ def _sweep_words(words):
                 for t in range(j, min(j + 4, len(tile))):
                     _ou_step(tile[t - 1, a:b] if t else prev[a:b], d, c,
                              z[:, t - j], out=tile[t, a:b])
-    return advance, 2 * CHUNK
+        _claim_each(cursor, hi, chunk, step)
+    return advance, 8 * CHUNK
 
 
 def tile_steps(n):
@@ -192,13 +227,17 @@ def ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit):
     1)`` and key ``(key0, first_rep + s // KL)``.  Step ``i`` is ``state <-
     decay[q] * state + scale[q] * z`` (``ou_step``), with ``z`` the normal
     of lane ``(i-1) % 4`` of counter block ``(i-1) // 4``.  The steps run in
-    tiles of ``tile_steps`` states: each kernel thread takes a run of whole
-    chunks of streams through the tile, block by block, drawing one chunk's
-    uniforms (``philox_raw_block`` read at call time, so swapping it swaps
-    the words), mapping them by ``ndtri`` in place and stepping the chunk's
-    streams (``_sweep_words``).  Then the tile's ``visit`` calls are shared
-    among the threads, in any order, where the streams span several chunks;
-    ``state`` is a view valid for the call only.  ``x`` is not modified.
+    tiles of ``tile_steps`` states.  The kernel threads claim the tile's
+    chunks of streams one at a time as they free up and take each through
+    the tile, block by block, drawing the chunk's uniforms
+    (``philox_raw_block`` read at call time, so swapping it swaps the
+    words), mapping them by ``ndtri`` in place and stepping the chunk's
+    streams (``_sweep_words``).  Once every chunk is done they claim the
+    tile's ``visit`` calls, one step at a time, where the tile has more
+    than ``SHARED_VISITS`` streams; ``state`` is a view valid for the call
+    only.  After a chunk or a ``visit`` raises, no thread claims another,
+    and the first error is raised once every thread is done.  ``x`` is not
+    modified.
 
     Before the first ``visit``, on either word source, it refuses with
     ``ValueError`` what the compiled ``sweep`` refuses: ``x``, ``decay``
@@ -233,18 +272,20 @@ def ou_sweep(x, decay, scale, L, key0, first_rep, steps, visit):
     prev = x
     for first in range(0, steps, rows):
         count = min(rows, steps - first)
+        next_stream, next_step = np.zeros((2, 1), np.int64)
 
-        def run(lo, hi):
-            advance(lo, hi, chunk, first // 4, L, key0, first_rep, decay,
-                    scale, prev, tile[:count])
+        def run():
+            advance(next_stream, n, chunk, first // 4, L, key0, first_rep,
+                    decay, scale, prev, tile[:count])
 
-        def project(lo, hi):
-            for t in range(lo, hi):
-                visit(first + t + 1, tile[t])
+        def project():
+            _claim_each(next_step, count, 1,
+                        lambda t: visit(first + t + 1, tile[t]))
 
-        _share(run, n, chunk)
-        # A tile of one chunk keeps its projections too: at K=L=8 to 64 on
-        # a 50x50 grid they are too small to pay for the threads' handoffs
-        # (a field took 27 against 21 ms at K=L=8, 184 against 165 ms at 64).
-        _share(project, count, 1 if n > chunk else count)
+        _share(run, -(-n // chunk))
+        # A tile of at most SHARED_VISITS streams keeps its projections on
+        # the calling thread: at K=L=8 to 64 on a 50x50 grid they are too
+        # small to pay for the threads' handoffs (shared, a field took 12.2
+        # against 9.3 ms at K=L=8 and 102 against 95 ms at 64).
+        _share(project, count if n > SHARED_VISITS else 1)
         prev = tile[-1]

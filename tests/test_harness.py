@@ -242,7 +242,7 @@ class TestMonteCarlo:
         # a forked worker copies a parent with no live pool threads; the
         # sweep spans two chunks on either word source, so it starts the pool
         monkeypatch.setattr(kernels, "_threads", 2)
-        n = 4 * kernels.CHUNK
+        n = 16 * kernels.CHUNK
         kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), 1, 0, 0, 4,
                          lambda i, state: None)
 
@@ -1040,7 +1040,7 @@ class TestPhiloxPaths:
         assert kernels._sweep_words(compiled_words) == (
             compiled_philox.sweep, kernels.CHUNK)
         assert kernels._sweep_words(_kernels_py.philox_raw_block)[1] == (
-            2 * kernels.CHUNK)
+            8 * kernels.CHUNK)
 
 
 def test_estimate_covariance_flag(tmp_path):

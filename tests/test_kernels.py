@@ -112,12 +112,12 @@ def _stream_words(layout, first_rep):
 
 def test_chunk_follows_the_word_source():
     # the NumPy words hold the interpreter lock between ~170 ufunc calls
-    # per chunk, and take chunks twice as large as the compiled words
-    assert kernels.CHUNK == 8192
+    # per chunk, and take chunks eight times as large as the compiled words
+    assert kernels.CHUNK == 2048
     assert kernels._sweep_words(pyk.philox_raw_block)[1] == 16384
     if kernels.BACKEND == "c":
         assert kernels._sweep_words(kernels.philox_raw_block) == (
-            kernels._words._philox.sweep, 8192)
+            kernels._words._philox.sweep, 2048)
 
 
 def _sweep(layout, key0, first_rep, steps, decay, scale):
@@ -152,7 +152,7 @@ def _assert_sweep_draws_normal_block(n):
 # threads: its chunked normal blocks equal normal_block's bit for bit.
 @pytest.mark.parametrize("threads", [1, 2])
 # besides the edges of one chunk, the sizes around field_io's 16384 streams
-# and one past four chunks
+# and 32,775, past sixteen chunks
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
                                16383, 16384, 16385, 32775, 65536])
@@ -180,7 +180,7 @@ def test_forked_child_builds_its_own_pool(monkeypatch):
     # the parent's pool threads do not exist in a forked child; a child
     # that submitted to them would wait forever
     monkeypatch.setattr(kernels, "_threads", 2)
-    layout = _layout(4 * kernels.CHUNK + 7)
+    layout = _layout(16 * kernels.CHUNK + 7)
     expected = _sweep(layout, 11, 5, 8, 0.5, 1.0)
     assert kernels._pool[0] == os.getpid()
     child = multiprocessing.get_context("fork").Process(
@@ -282,8 +282,9 @@ def test_compiled_sweep_draws_the_normals_of_its_words(compiled_philox, n):
     for block, key0, first_rep in ((0, U64_MAX, 2 ** 64 - reps),
                                    (U64_MAX, 0, 0), (17, 20220121, 5)):
         tile = np.empty((4, n))
-        compiled_philox.sweep(0, n, kernels.CHUNK, block, L, key0, first_rep,
-                              zeros, ones, np.zeros(n), tile)
+        compiled_philox.sweep(np.zeros(1, np.int64), n, kernels.CHUNK, block,
+                              L, key0, first_rep, zeros, ones, np.zeros(n),
+                              tile)
         c2, c3, k1 = _stream_words((K, L, reps), first_rep)
         assert np.array_equal(tile.T.view(np.uint64), pyk.normal_block(
             block, c2, c3, key0, k1).view(np.uint64))
@@ -293,10 +294,11 @@ def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
     # two replications of K = L = 2 modes
     x, c = np.zeros(8), np.zeros(4)
 
-    def sweep(*, lo=0, hi=8, chunk=4, L=2, key0=1, first_rep=0, decay=c,
-              scale=c, prev=x, tile=np.empty((2, 8))):
-        compiled_philox.sweep(lo, hi, chunk, 0, L, key0, first_rep, decay,
-                              scale, prev, tile)
+    def sweep(*, cursor=None, hi=8, chunk=4, L=2, key0=1, first_rep=0,
+              decay=c, scale=c, prev=x, tile=np.empty((2, 8))):
+        compiled_philox.sweep(np.zeros(1, np.int64) if cursor is None
+                              else cursor, hi, chunk, 0, L, key0, first_rep,
+                              decay, scale, prev, tile)
     sweep()
     sweep(L=4)
     sweep(L=1, decay=x, scale=x)
@@ -310,6 +312,17 @@ def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
                  np.frombuffer(bytes(128)).reshape(2, 8)):   # read-only
         with pytest.raises(ValueError):
             sweep(tile=tile)
+    for cursor in (np.frombuffer(bytes(8), dtype=np.int64),  # read-only
+                   np.zeros(1, np.uint64),            # unsigned
+                   np.zeros(1),                       # a real
+                   np.zeros(1, np.int32),             # 4 bytes
+                   np.zeros(2, np.int64),             # two items
+                   np.zeros(0, np.int64),             # no item
+                   np.full(1, -1, np.int64)):         # below 0
+        tile = np.full((2, 8), 7.0)
+        with pytest.raises(ValueError):
+            sweep(cursor=cursor, tile=tile)
+        assert (tile == 7.0).all()
     for kwargs in ({"decay": c.view(np.uint64)},       # words for reals
                    {"scale": x[:3]},                   # short scale
                    {"decay": x[:0], "scale": x[:0]},   # no mode
@@ -325,9 +338,28 @@ def test_compiled_sweep_rejects_bad_buffers(compiled_philox):
                    # replication, of the first, and the first word
                    {"first_rep": U64_MAX}, {"first_rep": 2 ** 64},
                    {"first_rep": -1}, {"key0": 2 ** 64}, {"key0": -1},
-                   {"lo": -1}, {"lo": 5, "hi": 4}, {"hi": 9}, {"chunk": 0}):
+                   {"hi": -1}, {"hi": 9}, {"chunk": 0}):
         with pytest.raises(ValueError):
             sweep(**kwargs)
+
+
+@pytest.mark.parametrize("start", [0, 3, 8, 11])
+@pytest.mark.parametrize("chunk", [1, 3, 8, 20])
+def test_compiled_sweep_steps_the_streams_it_claims(compiled_philox, start,
+                                                    chunk):
+    # one call claims from the cursor's value up to hi, chunk by chunk,
+    # steps exactly those streams and leaves the cursor at or past hi
+    n = 8
+    cursor = np.full(1, start, np.int64)
+    tile = np.full((4, n), -1.0)
+    compiled_philox.sweep(cursor, n, chunk, 0, 2, 1, 0, np.zeros(4),
+                          np.ones(4), np.zeros(n), tile)
+    whole = np.empty((4, n))
+    compiled_philox.sweep(np.zeros(1, np.int64), n, n, 0, 2, 1, 0,
+                          np.zeros(4), np.ones(4), np.zeros(n), whole)
+    assert np.array_equal(tile[:, start:], whole[:, start:])
+    assert (tile[:, :start] == -1.0).all()
+    assert cursor[0] >= n
 
 
 def _ou_paths(words, x, decay, scale, L, key0, first_rep, steps):
@@ -395,7 +427,7 @@ def test_sweep_refuses_a_fraction_for_an_integer(philox_words, at):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
-                               65536])
+                               16391, 65536])
 def test_compiled_sweep_equals_the_numpy_words_path(compiled_words, n,
                                                     threads, monkeypatch):
     # random decay and scale from a nonzero start; 1, 2, 3 and 9 steps, the
@@ -417,8 +449,8 @@ def test_compiled_sweep_equals_the_numpy_words_path(compiled_words, n,
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
 # chunks of 4 and 7 streams split the 15 modes of a replication, chunks of
-# 15 match them, and chunks of 16 straddle them; the NumPy words take twice
-# as many
+# 15 match them, and chunks of 16 straddle them; the NumPy words take eight
+# times as many
 @pytest.mark.parametrize("chunk", [4, 7, 15, 16])
 def test_sweep_over_chunks_that_split_replications(compiled_words, chunk,
                                                    threads, monkeypatch):
@@ -462,7 +494,8 @@ def test_compiled_sweep_does_not_contract_the_step(compiled_philox):
              for a, b, c, w, r in zip(x, d, s, z, two)]
     assert sum(fused) > 100
     tile = np.empty((4, n))
-    compiled_philox.sweep(0, n, kernels.CHUNK, 3, 64, 5, 5, d, s, x, tile)
+    compiled_philox.sweep(np.zeros(1, np.int64), n, kernels.CHUNK, 3, 64, 5,
+                          5, d, s, x, tile)
     want = x.copy()
     pyk.ou_step(want, d, s, z)
     assert np.array_equal(want, two)
@@ -486,8 +519,8 @@ def _sweep_one_stream(module):
     """Row 0 to 3 of ``module.sweep`` with decay 0 and scale 1, one stream:
     mode (1, 1) of replication 1 under key word 0."""
     tile = np.empty((4, 1))
-    module.sweep(0, 1, 1, 0, 1, 0, 1, np.zeros(1), np.ones(1), np.zeros(1),
-                 tile)
+    module.sweep(np.zeros(1, np.int64), 1, 1, 0, 1, 0, 1, np.zeros(1),
+                 np.ones(1), np.zeros(1), tile)
     return tile[:, 0]
 
 

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+import threading
 import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -390,8 +391,9 @@ class TestTiledSweep:
     P = ModelParams(0.0, 0.2, 0.2, 0.2, 1.0, 0.5)
 
     def _field_tiles(self):
-        # 9,216 streams: two chunks of the default size, three tiles of
-        # 28 steps for N = 61 (28, 28 and 5 steps)
+        # 9,216 streams: five chunks of the default size, one of the NumPy
+        # words' size, and three tiles of 28 steps for N = 61 (28, 28 and 5
+        # steps)
         return simulate_field(self.P, NoiseKind.Q1, SpaceTimeGrid(61, 6, 5),
                               TruncationSpec(96, 96), seed=SEED, rep=2).slices
 
@@ -401,7 +403,7 @@ class TestTiledSweep:
                               TruncationSpec(5, 7), seed=SEED).slices
 
     def _paths(self):
-        # 3 x 2,800 streams from a nonzero start: two chunks, two tiles
+        # 3 x 2,800 streams from a nonzero start: five chunks, two tiles
         return simulate_coordinate_paths(
             self.P, NoiseKind.Q1, SpaceTimeGrid(37, 4, 4),
             TruncationSpec(40, 70),
@@ -427,10 +429,10 @@ class TestTiledSweep:
 
     def test_cases_cover_tiles_and_chunks(self):
         assert kernels.tile_steps(96 * 96) == 28
-        assert kernels.CHUNK < 96 * 96 < 2 * kernels.CHUNK
+        assert 4 * kernels.CHUNK < 96 * 96 < 8 * kernels.CHUNK
         assert kernels.tile_steps(35) > 23
         assert kernels.tile_steps(3 * 40 * 70) == 28
-        assert kernels.CHUNK < 3 * 40 * 70
+        assert 4 * kernels.CHUNK < 3 * 40 * 70
 
     # a chunk of 1,000 streams cuts every case but the shortest into
     # several chunks, the last one short
@@ -444,8 +446,8 @@ class TestTiledSweep:
         assert hashlib.sha256(values.tobytes()).hexdigest() == \
             self.DIGESTS[case]
 
-    # the NumPy words cut the streams into chunks of 2 * CHUNK: one chunk
-    # of 16,384 or several of 2,000 streams
+    # the NumPy words cut the streams into chunks of 8 * CHUNK: one chunk
+    # of 16,384 or several of 8,000 streams
     @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1000])
     @pytest.mark.parametrize("case", list(DIGESTS))
     def test_digest_on_numpy_words(self, case, chunk, monkeypatch):
@@ -497,27 +499,101 @@ class TestTiledSweep:
         for g in got:
             assert np.array_equal(g, expected)
 
-    # three chunks, so the visits are shared: step 1 fails on the calling
-    # thread, step 9 on the pool's
-    @pytest.mark.parametrize("bad", [1, 9])
-    def test_failed_visit_raises_once_every_thread_is_done(self, bad,
+    # every tile's visits shared, among two and three threads, in chunks of
+    # 4 streams
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("case", list(DIGESTS))
+    def test_digest_with_shared_visits(self, case, threads, monkeypatch):
+        monkeypatch.setattr(kernels, "_threads", threads)
+        monkeypatch.setattr(kernels, "CHUNK", 4)
+        monkeypatch.setattr(kernels, "SHARED_VISITS", 0)
+        values = getattr(self, case)()
+        assert hashlib.sha256(values.tobytes()).hexdigest() == \
+            self.DIGESTS[case]
+
+    def test_a_stalled_thread_leaves_the_tile_to_the_others(self,
+                                                           philox_words,
+                                                           monkeypatch):
+        # the pool's thread starts each task 50 ms late, as a preempted or
+        # late-waking core would: the calling thread claims every chunk and
+        # every visit of the tile meanwhile, and the states are those of the
+        # undelayed run.  3 x 2,800 streams: nine chunks, visits shared.
+        monkeypatch.setattr(kernels, "_threads", 2)
+        monkeypatch.setattr(kernels, "CHUNK", 1000)
+        monkeypatch.setattr(kernels, "philox_raw_block", philox_words)
+        n, caller = 3 * 2800, threading.get_ident()
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=n)
+        decay, scale = rng.uniform(0, 1, 2800), rng.uniform(0, 2, 2800)
+
+        def states(record):
+            got = np.empty((10, n))
+
+            def visit(i, state):
+                got[i] = state
+                record.append(threading.get_ident())
+            kernels.ou_sweep(x, decay, scale, 70, 5, 2, 9, visit)
+            return got
+
+        expected = states([])
+        # the threads that drew words, or claimed streams in the compiled
+        # sweep, and that visited a state
+        drew, visited = [], []
+
+        def words(*args):
+            drew.append(threading.get_ident())
+            return philox_words(*args)
+        if hasattr(philox_words, "sweep"):
+            def sweep(cursor, hi, *rest):
+                if int(np.ravel(cursor)[0]) < hi:
+                    drew.append(threading.get_ident())
+                philox_words.sweep(cursor, hi, *rest)
+            words.sweep = sweep
+        monkeypatch.setattr(kernels, "philox_raw_block", words)
+        pool = kernels._executor()
+
+        class Late:
+            def submit(self, fn, *args):
+                def late():
+                    time.sleep(0.05)
+                    return fn(*args)
+                return pool.submit(late)
+
+        monkeypatch.setattr(kernels, "_executor", Late)
+        assert np.array_equal(states(visited), expected)
+        assert drew and set(drew) == {caller}
+        assert len(visited) == 10 and set(visited) == {caller}
+
+    # each thread's first visit of the tile waits for the other's, then the
+    # thread chosen by identity fails; the other finishes the visit it has
+    # claimed and claims no other
+    @pytest.mark.parametrize("failing", ["calling", "pool"])
+    def test_failed_visit_raises_once_every_thread_is_done(self, failing,
                                                            monkeypatch):
         monkeypatch.setattr(kernels, "_threads", 2)
         monkeypatch.setattr(kernels, "CHUNK", 4)
-        n, done = 10, []
+        monkeypatch.setattr(kernels, "SHARED_VISITS", 0)
+        n, done, started = 10, [], set()
+        caller, both = threading.get_ident(), threading.Barrier(2, timeout=60)
 
         def visit(i, state):
-            if i == bad:
-                raise ValueError(f"step {i}")
-            time.sleep(0.01)
+            if i == 0:      # the start, visited before the first tile
+                return
+            me = threading.get_ident()
+            if me not in started:
+                started.add(me)
+                both.wait()
+            if (me == caller) == (failing == "calling"):
+                raise ValueError(f"step {i} on the {failing} thread")
+            time.sleep(0.05)
             done.append(i)
 
-        with pytest.raises(ValueError, match=f"step {bad}"):
+        with pytest.raises(ValueError, match=f"on the {failing} thread"):
             kernels.ou_sweep(np.zeros(n), np.ones(n), np.ones(n), 1, 0, 0, 9,
                              visit)
-        count = len(done)
+        assert len(done) == 1
         time.sleep(0.1)
-        assert len(done) == count
+        assert len(done) == 1
 
     def test_visit_sees_every_state_once(self):
         # the visits of a tile run on the kernel threads in any order
