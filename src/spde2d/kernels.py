@@ -139,7 +139,7 @@ def _claim_each(cursor, end, unit, work):
             work(a)
         except BaseException:
             with _claims:
-                cursor[0] = max(end, int(cursor[0]))
+                cursor[0] = end
             raise
 
 

@@ -59,8 +59,7 @@ def test_blocks_advance_like_one_numpy_stream(philox_words):
     assert np.array_equal(got, expected)
 
 
-@pytest.mark.parametrize("n", [1, 7, 4096, kernels.CHUNK + 1,
-                               2 * kernels.CHUNK + 7, 16385, 32775])
+@pytest.mark.parametrize("n", [1, 7, 4096, 8193, 16391, 16385, 32775])
 def test_compiled_words_and_normals_bit_identical(compiled_words, n, rng,
                                                   monkeypatch):
     c2 = rng.integers(0, U64_MAX, n, dtype=np.uint64, endpoint=True)
@@ -151,10 +150,11 @@ def _assert_sweep_draws_normal_block(n):
 # The sweep is the one kernel that draws normals in chunks over the kernel
 # threads: its chunked normal blocks equal normal_block's bit for bit.
 @pytest.mark.parametrize("threads", [1, 2])
-# besides the edges of one chunk, the sizes around field_io's 16384 streams
-# and 32,775, past sixteen chunks
+# besides the edges of one chunk and of four, the sizes around field_io's
+# 16384 streams and 32,775, past sixteen chunks
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
+                               8191, 8192, 8193, 16391,
                                16383, 16384, 16385, 32775, 65536])
 def test_chunked_normal_block_bit_identical(n, threads, monkeypatch):
     monkeypatch.setattr(kernels, "_threads", threads)
@@ -427,7 +427,7 @@ def test_sweep_refuses_a_fraction_for_an_integer(philox_words, at):
 @pytest.mark.parametrize("threads", [1, 2, 3])
 @pytest.mark.parametrize("n", [1, kernels.CHUNK - 1, kernels.CHUNK,
                                kernels.CHUNK + 1, 2 * kernels.CHUNK + 7,
-                               16391, 65536])
+                               8191, 8192, 8193, 16391, 65536])
 def test_compiled_sweep_equals_the_numpy_words_path(compiled_words, n,
                                                     threads, monkeypatch):
     # random decay and scale from a nonzero start; 1, 2, 3 and 9 steps, the

@@ -434,9 +434,10 @@ class TestTiledSweep:
         assert kernels.tile_steps(3 * 40 * 70) == 28
         assert 4 * kernels.CHUNK < 3 * 40 * 70
 
-    # a chunk of 1,000 streams cuts every case but the shortest into
-    # several chunks, the last one short
-    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1000])
+    # the default chunk, the former default of 8,192 streams, and a chunk
+    # of 1,000 streams, which cuts every case but the shortest into several
+    # chunks, the last one short
+    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 8192, 1000])
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize("case", list(DIGESTS))
     def test_digest(self, case, threads, chunk, monkeypatch):
@@ -447,8 +448,8 @@ class TestTiledSweep:
             self.DIGESTS[case]
 
     # the NumPy words cut the streams into chunks of 8 * CHUNK: one chunk
-    # of 16,384 or several of 8,000 streams
-    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 1000])
+    # of 16,384 or 65,536, or several of 8,000 streams
+    @pytest.mark.parametrize("chunk", [kernels.CHUNK, 8192, 1000])
     @pytest.mark.parametrize("case", list(DIGESTS))
     def test_digest_on_numpy_words(self, case, chunk, monkeypatch):
         monkeypatch.setattr(kernels, "_threads", 2)
